@@ -21,7 +21,7 @@ from .tree import Diagram, MalformedDiagram, RankTooSmall, parse_id, render
 USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
                 IndexConstraintViolated, ClassCapExceeded,
                 harness.BoundsExceeded, harness.UnknownSuite,
-                rep_mod.NotALeaf, ValueError)
+                rep_mod.NotALeaf, rep_mod.BadLeafPair)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,14 +133,8 @@ def _cmd_tree(args) -> int:
     if args.dot:
         print(render(root, "dot"))
         return 0
-
-    def walk(d: Diagram, depth: int) -> None:
-        marker = " *" if d.is_leaf else ""
-        print("  " * depth + d.id + marker)
-        for kid in tree.children(d):
-            walk(kid, depth + 1)
-
-    walk(root, 0)
+    for d, depth, _ in tree.preorder(root):
+        print("  " * depth + d.id + (" *" if d.is_leaf else ""))
     return 0
 
 

@@ -5,15 +5,17 @@ The monoid is generated by a_1, ..., a_n subject to the length-3 relations
     a_j a_i a_k = a_j a_k a_i = a_k a_j a_i   for i <= k <= j.
 
 Words are plain tuples of generator indices (1-based); the empty tuple is
-the identity.  Equality is decided by a breadth-first closure of the
-relations (`congruence_class`, `eq_oracle`), and every class contains a
-unique word matching the triangular "staircase" pattern
+the identity.  Every class contains a unique word matching the triangular
+"staircase" pattern
 
     b_1 b_2 ... b_n,   b_r = (a_r a_1)^k[r][1] (a_r a_2)^k[r][2] ... a_r^k[r][r],
 
-which serves as the canonical form (`to_staircase`).  The closure is the
-correctness oracle for everything else in the package: it is slow but
-correct by construction at desk scale.
+which serves as the canonical form.  `to_staircase` decodes its exponents
+from the letter counts and the bicyclic projections of the word, in time
+polynomial in n and |w|.  The breadth-first closure of the relations
+(`congruence_class`, `eq_oracle`) is the correctness oracle the tests and
+suites check everything else against: slow but correct by construction at
+desk scale.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ DEFAULT_CAP = 200_000
 
 class ClassCapExceeded(Exception):
     """The breadth-first closure grew past the requested cap."""
-
-
-class NoStaircaseMember(Exception):
-    """A congruence class contains no staircase word (canonical-form bug)."""
-
-
-class MultipleStaircaseMembers(Exception):
-    """A congruence class contains several staircase words (canonical-form bug)."""
 
 
 class IndexConstraintViolated(Exception):
@@ -274,48 +268,53 @@ def decode_staircase(word: Word, n: int) -> tuple[tuple[int, ...], ...] | None:
     return tuple(tuple(row) for row in rows)
 
 
-# Normal forms are pure values; computing one normalizes its whole class, so
-# the cache is filled class-at-a-time.  The cap is a resource bound, not part
-# of the value, hence not a cache key.
-_NF_CACHE: dict[tuple[int, Word], StaircaseForm] = {}
+def _projection_q(word: Word, x: int, y: int) -> int:
+    """q-exponent of the image of `word` in the bicyclic monoid under
+    a_g -> p (g <= x), 1 (x < g < y), q (g >= y); qp = 1 cancels."""
+    q = 0
+    for g in word:
+        if g >= y:
+            q += 1
+        elif g <= x and q:
+            q -= 1
+    return q
 
 
-def to_staircase(word: Word, n: int, cap: int = DEFAULT_CAP) -> StaircaseForm:
+def to_staircase(word: Word, n: int) -> StaircaseForm:
     """Canonical form of `word` in the Chinese monoid of rank n.
 
-    Computed as the unique staircase word in the breadth-first class.  Zero or
-    several staircase members would falsify canonical-form uniqueness on this
-    instance, so both abort loudly.
+    Decoded from invariants of the class: the letter counts and, for
+    1 <= x < y <= n, the bicyclic projection B(x, y) = `_projection_q`.  Each
+    projection is a bicyclic component of a leaf representation, hence a
+    homomorphism, so all of them are constant on the class; on the staircase
+    word they determine the exponents linearly.  A decoding error shows as a
+    negative exponent, which StaircaseForm rejects.
     """
     for x in word:
         if not 1 <= x <= n:
             raise WordSyntaxError(f"letter {x} outside 1..{n}")
-    cached = _NF_CACHE.get((n, word))
-    if cached is not None:
-        return cached
-    cls = congruence_class(word, cap=cap)
-    matches = []
-    for member in cls:
-        rows = decode_staircase(member, n)
-        if rows is not None:
-            matches.append(rows)
-    if not matches:
-        raise NoStaircaseMember(
-            f"class of {format_word(word)!r} has no staircase member")
-    if len(matches) > 1:
-        raise MultipleStaircaseMembers(
-            f"class of {format_word(word)!r} has {len(matches)} staircase members")
-    form = StaircaseForm(n, matches[0])
-    for member in cls:
-        _NF_CACHE[(n, member)] = form
-    return form
+    b = {(x, y): _projection_q(word, x, y)
+         for y in range(2, n + 1) for x in range(1, y)}
+
+    def col(y: int, j: int) -> int:  # sum of k[r][j] over the rows r >= y > j
+        return b[j - 1, y] - b[j, y] if y <= n else 0
+
+    k = [[0] * r for r in range(1, n + 1)]
+    for r in range(2, n + 1):
+        for j in range(2, r):
+            k[r - 1][j - 1] = col(r, j) - col(r + 1, j)
+        k[r - 1][r - 1] = b[r - 1, r] - b.get((r, r + 1), 0) - 2 * col(r + 1, r)
+    for r in range(n, 0, -1):  # column 1 (and k[1][1]) from the letter counts
+        below = sum(k[s - 1][r - 1] for s in range(r + 1, n + 1))
+        k[r - 1][0] = word.count(r) - sum(k[r - 1][1:]) - below
+    return StaircaseForm(n, tuple(map(tuple, k)))
 
 
-def multiply(f: StaircaseForm, g: StaircaseForm, cap: int = DEFAULT_CAP) -> StaircaseForm:
+def multiply(f: StaircaseForm, g: StaircaseForm) -> StaircaseForm:
     """Product of canonical forms: concatenate expansions, renormalize."""
     if f.n != g.n:
         raise ValueError(f"rank mismatch: {f.n} != {g.n}")
-    return to_staircase(f.expand() + g.expand(), f.n, cap)
+    return to_staircase(f.expand() + g.expand(), f.n)
 
 
 def count_classes(n: int, length: int) -> int:
@@ -383,8 +382,7 @@ def first_level_pairs(kind: str, s: int, n: int) -> CongruencePairs:
 
 
 def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
-                   l: int, k: int | None = None, m: int | None = None,
-                   cap: int = DEFAULT_CAP) -> bool:
+                   l: int, k: int | None = None, m: int | None = None) -> bool:
     """Check one instance of the two-sided annihilation identities.
 
     Variant 22 (indices i > j >= k > l):
@@ -429,14 +427,11 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
     else:
         raise IndexConstraintViolated(f"variant must be one of 22, 23, 32, got {variant}")
 
-    def nf(word: Word) -> StaircaseForm:
-        return to_staircase(word, n, cap)
+    def nf(left: Word, right: Word) -> tuple[tuple[int, ...], ...]:
+        return to_staircase(prefix + left + w + right + suffix, n).k
 
-    pos1 = nf(prefix + (i, j) + w + (k, l) + suffix)
-    pos2 = nf(prefix + (j, i) + w + (l, k) + suffix)
-    neg1 = nf(prefix + (i, j) + w + (l, k) + suffix)
-    neg2 = nf(prefix + (j, i) + w + (k, l) + suffix)
-    return sorted([pos1.k, pos2.k]) == sorted([neg1.k, neg2.k])
+    positive = sorted([nf((i, j), (k, l)), nf((j, i), (l, k))])
+    return positive == sorted([nf((i, j), (l, k)), nf((j, i), (k, l))])
 
 
 def boxplus_tuples(n: int, variant: int) -> Iterator[dict[str, int]]:

@@ -37,6 +37,10 @@ class NotAnArcStep(Exception):
     """The requested pair is not an arc of this leaf."""
 
 
+class BadLeafPair(ValueError):
+    """A witness needs two different leaf representations of the same rank."""
+
+
 class Component(NamedTuple):
     kind: str            # "N" | "B" | "Z"
     origin: tuple        # ("dot", s) | ("arc", x, y) | ("free", g)
@@ -175,9 +179,9 @@ def incomparability_witness(r1: LeafRepresentation, r2: LeafRepresentation,
     reproducible.
     """
     if r1 == r2:
-        raise ValueError("the leaf representations must differ")
+        raise BadLeafPair("the leaf representations must differ")
     if r1.n != r2.n:
-        raise ValueError("the leaf representations must have equal rank")
+        raise BadLeafPair("the leaf representations must have equal rank")
     n = r1.n
     for length in range(1, max_len + 1):
         buckets: dict[ImageTuple, list[Word]] = {}

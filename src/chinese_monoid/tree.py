@@ -16,8 +16,8 @@ A (arc above), L (dot left), R (dot right).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from typing import Iterator
 
 Step = tuple | str  # ("d", s) | ("a", s) as first step, then "A" | "L" | "R"
 
@@ -122,15 +122,12 @@ class Diagram:
 
     n: int
     steps: tuple[Step, ...] = ()
+    _state: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 3:
             raise RankTooSmall(f"rank must be >= 3, got {self.n}")
-        _replay(self.n, self.steps)
-
-    @cached_property
-    def _state(self):
-        return _replay(self.n, self.steps)
+        object.__setattr__(self, "_state", _replay(self.n, self.steps))
 
     @property
     def interval(self) -> tuple[int, int] | None:
@@ -180,6 +177,8 @@ def parse_id(text: str, n: int) -> Diagram:
     if text == "root":
         return Diagram(n)
     tokens = text.split()
+    if not tokens:
+        raise MalformedDiagram("empty diagram id")
     head = tokens[0]
     if len(head) < 2 or head[0] not in "da" or not head[1:].isdigit():
         raise MalformedDiagram(f"bad initial token {head!r}")
@@ -212,22 +211,20 @@ def children(d: Diagram) -> list[Diagram]:
     return kids
 
 
+def preorder(root: Diagram) -> Iterator[tuple[Diagram, int, list[Diagram]]]:
+    """The subtree at `root` in depth-first pre-order of the fixed child
+    ordering: each vertex with its depth below `root` and its children."""
+    stack = [(root, 0)]
+    while stack:
+        d, depth = stack.pop()
+        kids = children(d)
+        yield d, depth, kids
+        stack.extend((kid, depth + 1) for kid in reversed(kids))
+
+
 def enumerate_leaves(n: int) -> list[Diagram]:
     """All leaves in depth-first order of the fixed child ordering."""
-    if n < 3:
-        raise RankTooSmall(f"rank must be >= 3, got {n}")
-    leaves: list[Diagram] = []
-
-    def walk(d: Diagram) -> None:
-        kids = children(d)
-        if not kids and not d.is_root:
-            leaves.append(d)
-            return
-        for kid in kids:
-            walk(kid)
-
-    walk(Diagram(n))
-    return leaves
+    return [d for d, _, _ in preorder(Diagram(n)) if d.is_leaf]
 
 
 def steps_from_marks(n: int, dots: set[int], arcs: list[tuple[int, int]]) -> tuple[Step, ...]:
@@ -338,23 +335,13 @@ def parse_ascii(text: str) -> tuple[int, set[int], list[tuple[int, int]]]:
 
 def render_dot(d: Diagram) -> str:
     """DOT graph of the subtree rooted at `d`, vertices labelled by id."""
-    lines = ["digraph diagram_tree {", "  node [shape=box fontname=\"monospace\"];"]
-    order: list[Diagram] = []
-
-    def walk(v: Diagram) -> None:
-        order.append(v)
-        for kid in children(v):
-            walk(kid)
-
-    walk(d)
-    for v in order:
+    nodes = ["digraph diagram_tree {", "  node [shape=box fontname=\"monospace\"];"]
+    edges: list[str] = []
+    for v, _, kids in preorder(d):
         shape = " style=bold" if v.is_leaf else ""
-        lines.append(f'  "{v.id}" [label="{v.id}"{shape}];')
-    for v in order:
-        for kid in children(v):
-            lines.append(f'  "{v.id}" -> "{kid.id}";')
-    lines.append("}")
-    return "\n".join(lines)
+        nodes.append(f'  "{v.id}" [label="{v.id}"{shape}];')
+        edges.extend(f'  "{v.id}" -> "{kid.id}";' for kid in kids)
+    return "\n".join(nodes + edges + ["}"])
 
 
 def render(d: Diagram, format: str = "ascii") -> str:

@@ -105,6 +105,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "counts", "--max-n", "99")
     assert code == 2
+    code, _, err = run(capsys, "repr", "-n", "3", "--leaf", "")
+    assert code == 2 and "error:" in err
+    code, _, err = run(capsys, "image", "-n", "3", "--leaf", " ", "1")
+    assert code == 2 and "error:" in err
+    code, _, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a2")
+    assert code == 2 and "must differ" in err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "primes"])
     assert exc.value.code == 2
@@ -116,3 +122,13 @@ def test_method_disagreement_is_fatal(capsys, monkeypatch):
     code, _, err = run(capsys, "eq", "-n", "3", "1 2", "2 1", "--method", "both")
     assert code == 1
     assert "METHOD DISAGREEMENT" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    import chinese_monoid.cli as cli
+
+    def broken(word, n):
+        raise ValueError("exponents must be nonnegative")
+    monkeypatch.setattr(cli, "to_staircase", broken)
+    with pytest.raises(ValueError):
+        main(["normalize", "-n", "3", "3 2 1"])

@@ -5,15 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
-                                 MultipleStaircaseMembers, NoStaircaseMember,
                                  StaircaseForm, WordSyntaxError,
                                  congruence_class, count_classes,
                                  decode_staircase, eq_oracle,
                                  first_level_pairs, format_word, multiply,
                                  parse_word, rewrite_neighbors, to_staircase,
                                  verify_boxplus, words_up_to)
+from chinese_monoid.representation import eq_via_embedding
 
 words3 = st.lists(st.integers(1, 3), max_size=4).map(tuple)
+
+
+def long_words(n):
+    """Words far beyond the reach of the breadth-first oracle."""
+    return st.lists(st.integers(1, n), max_size=40).map(tuple)
 
 
 def small_forms(n):
@@ -117,8 +122,25 @@ def test_expansion_roundtrip(form):
 
 
 def test_staircase_uniqueness_small():
-    for word in words_up_to(3, 4):
-        to_staircase(word, 3)  # raises on zero or several members
+    # Every class has exactly one staircase member, and the closed form finds
+    # it: all 14,464 words of these (rank, max length) pairs.
+    for n, max_len in ((1, 6), (2, 7), (3, 7), (4, 6), (5, 5), (6, 4)):
+        staircase: dict = {}
+        for word in words_up_to(n, max_len):
+            if word not in staircase:
+                cls = congruence_class(word)
+                members = [rows for rows in (decode_staircase(m, n) for m in cls)
+                           if rows is not None]
+                assert len(members) == 1, (n, word, members)
+                staircase.update(dict.fromkeys(cls, members[0]))
+            assert to_staircase(word, n).k == staircase[word], (n, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 10), st.data())
+def test_staircase_agrees_with_leaf_product(n, data):
+    word = data.draw(long_words(n))
+    assert eq_via_embedding(n, to_staircase(word, n).expand(), word)
 
 
 def test_staircase_validation():
@@ -159,6 +181,13 @@ def test_multiply_rank_mismatch():
 def test_multiply_associative(a, b, c):
     fa, fb, fc = (to_staircase(w, 3) for w in (a, b, c))
     assert multiply(multiply(fa, fb), fc) == multiply(fa, multiply(fb, fc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 10), st.data())
+def test_staircase_is_a_homomorphism(n, data):
+    u, v = data.draw(long_words(n)), data.draw(long_words(n))
+    assert to_staircase(u + v, n) == multiply(to_staircase(u, n), to_staircase(v, n))
 
 
 @settings(max_examples=40, deadline=None)

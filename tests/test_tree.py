@@ -2,7 +2,7 @@ import pytest
 
 from chinese_monoid.tree import (Diagram, MalformedDiagram, RankTooSmall,
                                  children, enumerate_leaves, parse_ascii,
-                                 parse_id, render, render_ascii,
+                                 parse_id, preorder, render, render_ascii,
                                  steps_from_marks, tribonacci, u_sequence)
 
 
@@ -113,6 +113,17 @@ def test_parse_id_roundtrip():
         parse_id("z9", 4)
     with pytest.raises(MalformedDiagram):
         parse_id("d2 Q", 4)
+    for blank in ("", "  "):
+        with pytest.raises(MalformedDiagram):
+            parse_id(blank, 4)
+
+
+def test_preorder_yields_depths_and_children():
+    visits = list(preorder(Diagram(4)))
+    assert [(d.id, depth) for d, depth, _ in visits] == [
+        ("root", 0), ("d2", 1), ("d2 A", 2), ("d3", 1), ("d3 A", 2),
+        ("a2", 1), ("a3", 1), ("a3 A", 2), ("a4", 1)]
+    assert all(kids == children(d) for d, _, kids in visits)
 
 
 # --- rendering ---------------------------------------------------------------
