@@ -49,7 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("w")
     cmd.add_argument("v")
     cmd.add_argument("--method", choices=("oracle", "embedding", "both"),
-                     default="both")
+                     default="both",
+                     help="oracle: breadth-first class; embedding: leaf product "
+                          "(rank >= 3); both (default): both must agree, except "
+                          "below rank 3, where no leaf product exists and the "
+                          "oracle alone decides")
 
     cmd = add("tree", "the diagram tree")
     group = cmd.add_mutually_exclusive_group()
@@ -70,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("witness", "word pair merged by one leaf congruence, split by another")
     cmd.add_argument("--leaf1", required=True)
     cmd.add_argument("--leaf2", required=True)
-    cmd.add_argument("--max-len", type=int, default=6)
+    cmd.add_argument("--max-len", type=int, default=6, help="longest word searched (>= 1)")
 
     cmd = add("verify", "run a verification suite", rank=False)
     cmd.add_argument("suite", choices=harness.SUITE_NAMES + ("all",))
@@ -112,7 +116,7 @@ def _cmd_eq(args) -> int:
     n = args.rank
     w = parse_word(args.w, n)
     v = parse_word(args.v, n)
-    if args.method == "oracle":
+    if args.method == "oracle" or (args.method == "both" and n < 3):
         verdict = eq_oracle(w, v)
     elif args.method == "embedding":
         verdict = eq_via_embedding(n, w, v)
@@ -181,6 +185,8 @@ def _cmd_image(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    if args.max_len < 1:
+        raise harness.BoundsExceeded(f"witness needs --max-len >= 1, got {args.max_len}")
     r1 = _find_representation(args.leaf1, args.rank)
     r2 = _find_representation(args.leaf2, args.rank)
     found = incomparability_witness(r1, r2, args.max_len)

@@ -116,7 +116,7 @@ def _run_faithfulness(params: dict, rng: random.Random) -> tuple[int, list[str]]
     max_len = params.setdefault("max_len", 5 if n == 3 else 4)
     corrupt = params.setdefault("corrupt", False)
     _require(n in (3, 4), f"faithfulness needs n in (3, 4), got {n}")
-    _require(max_len <= (6 if n == 3 else 4),
+    _require(1 <= max_len <= (6 if n == 3 else 4),
              f"faithfulness bound exceeded: n={n}, max_len={max_len}")
     class_id = _class_partition(n, max_len)
     reps = leaf_representations(n)

@@ -38,6 +38,15 @@ def test_eq_both_methods(capsys):
     assert code == 0 and out.strip() == "true"
 
 
+def test_eq_below_rank_3_uses_the_oracle(capsys):
+    code, out, _ = run(capsys, "eq", "-n", "1", "1", "1")
+    assert code == 0 and out.strip() == "true"
+    code, out, _ = run(capsys, "eq", "-n", "2", "2 1 1", "1 2 1")
+    assert code == 0 and out.strip() == "true"
+    code, out, _ = run(capsys, "eq", "-n", "2", "1 2", "2 1", "--method", "both")
+    assert code == 0 and out.strip() == "false"
+
+
 def test_normalize_and_mul(capsys):
     code, out, _ = run(capsys, "normalize", "-n", "3", "3 2 1")
     assert code == 0
@@ -111,6 +120,11 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a2")
     assert code == 2 and "must differ" in err
+    code, out, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a3",
+                         "--max-len", "-1")
+    assert code == 2 and "max-len" in err and out == ""
+    code, _, err = run(capsys, "eq", "-n", "2", "1", "1", "--method", "embedding")
+    assert code == 2 and "rank must be >= 3" in err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "primes"])
     assert exc.value.code == 2

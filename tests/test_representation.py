@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chinese_monoid.bicyclic import IDENTITY, P, Q, Bicyclic
-from chinese_monoid.core import eq_oracle, words_up_to
-from chinese_monoid.representation import (Component, NotALeaf, NotAnArcStep,
+from chinese_monoid.core import StaircaseForm, eq_oracle, to_staircase, words_up_to
+from chinese_monoid.representation import (Component, LeafRepresentation,
+                                           NotALeaf, NotAnArcStep,
+                                           _distinct_columns,
                                            arc_element_image, arc_unit_tuple,
                                            build_representation,
                                            eq_via_embedding, identity_tuple,
@@ -101,6 +104,92 @@ def test_embedding_agrees_with_oracle_small():
     words = list(words_up_to(3, 3))
     for w, v in itertools.combinations(words, 2):
         assert eq_via_embedding(3, w, v) == eq_oracle(w, v)
+
+
+# --- column evaluation against the per-letter fold -----------------------------
+
+def reference_image(rep, word):
+    """The per-letter product of whole generator images, the reference for `image`."""
+    return functools.reduce(lambda acc, g: tuple_mul(rep.schema, acc, rep.images[g - 1]),
+                            word, identity_tuple(rep.schema))
+
+
+@st.composite
+def leaf_and_word(draw):
+    n = draw(st.integers(3, 9))
+    rep = draw(st.sampled_from(leaf_representations(n)))
+    return rep, tuple(draw(st.lists(st.integers(1, n), max_size=30)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(leaf_and_word())
+def test_image_matches_reference_fold(case):
+    rep, word = case
+    assert image(rep, word) == reference_image(rep, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf_and_word(), st.data())
+def test_image_matches_reference_fold_on_arbitrary_entries(case, data):
+    # Tables that are not homomorphic images (any p^i q^j, any int), as the
+    # faithfulness suite's --corrupt plants: the evaluator must not rely on
+    # generator images being p, q, 1, 0 or 1.
+    rep, word = case
+    entry = {"B": st.builds(Bicyclic, st.integers(0, 3), st.integers(0, 3)),
+             "N": st.integers(0, 3), "Z": st.integers(0, 3)}
+    images = tuple(tuple(data.draw(entry[comp.kind]) for comp in rep.schema)
+                   for _ in range(rep.n))
+    tampered = LeafRepresentation(rep.leaf, rep.schema, images)
+    assert image(tampered, word) == reference_image(tampered, word)
+
+
+@st.composite
+def word_pairs(draw):
+    """(n, w, v, expected or None): random, equal, or same-letter unequal pairs."""
+    n = draw(st.integers(3, 9))
+    letters = st.lists(st.integers(1, n), max_size=30).map(tuple)
+    kind = draw(st.sampled_from(("random", "equal", "shifted")))
+    if kind == "random":
+        return n, draw(letters), draw(letters), None
+    if kind == "equal":
+        w = draw(letters)
+        return n, w, to_staircase(w, n).expand(), True
+    def expand(triangle):
+        return StaircaseForm(n, tuple(map(tuple, triangle))).expand()
+
+    # A staircase triangle with an off-diagonal exponent k[r][j] moved onto
+    # k[r][r] and k[j][j]: same letters, a different triangle, so unequal.
+    k = [[0] * r for r in range(1, n + 1)]
+    j = draw(st.integers(1, n - 1))
+    r = draw(st.integers(j + 1, n))
+    k[r - 1][j - 1] = 1
+    for a, b in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=14)):
+        k[max(a, b) - 1][min(a, b) - 1] += 1
+    shifted = [row[:] for row in k]
+    shifted[r - 1][j - 1] -= 1
+    shifted[r - 1][r - 1] += 1
+    shifted[j - 1][j - 1] += 1
+    return n, expand(k), expand(shifted), False
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_pairs())
+def test_eq_via_embedding_matches_reference_fold(case):
+    n, w, v, expected = case
+    by_reference = all(reference_image(rep, w) == reference_image(rep, v)
+                       for rep in leaf_representations(n))
+    if expected is not None:
+        assert by_reference is expected
+    assert eq_via_embedding(n, w, v) is by_reference
+
+
+def test_distinct_columns_are_quadratic():
+    # The cost bound of eq_via_embedding: n(n-1)/2 bicyclic columns (one per
+    # pair x < y) and n additive ones, where the leaf count grows like T_n.
+    for n in range(3, 13):
+        kinds = [kind for kind, _ in _distinct_columns(n)]
+        assert kinds.count("B") == n * (n - 1) // 2
+        assert kinds.count("N") == n
 
 
 # --- arc elements ------------------------------------------------------------
