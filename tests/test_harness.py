@@ -42,13 +42,13 @@ def test_counts_report_contents():
     ("counts", {"max_n": 40}),
     ("faithfulness", {"n": 5}),
     ("faithfulness", {"n": 4, "max_len": 6}),
-    ("faithfulness", {"n": 3, "max_len": 0}),
-    ("faithfulness", {"n": 3, "max_len": -3}),
     ("boxplus", {"max_n": 9}),
     ("identity", {"samples": 0}),
     ("centrality", {"max_len": 9}),
     ("incomparability", {"n": 9}),
     ("schema", {"max_n": 30}),
+    ("faithfulness", {"n": 3, "max_len": 0}),
+    ("faithfulness", {"n": 3, "max_len": -3}),
 ])
 def test_bounds_are_enforced(name, params):
     with pytest.raises(BoundsExceeded):
