@@ -13,15 +13,18 @@ import sys
 from . import harness, representation as rep_mod, tree
 from .core import (ClassCapExceeded, IndexConstraintViolated, WordSyntaxError,
                    eq_oracle, format_word, multiply, parse_word, to_staircase)
-from .representation import (eq_via_embedding, image, image_str,
-                             incomparability_witness, leaf_representations,
-                             representation_json)
+from .representation import (build_representation, eq_via_embedding, image,
+                             image_str, incomparability_witness,
+                             leaf_representations, representation_json)
 from .tree import Diagram, MalformedDiagram, RankTooSmall, parse_id, render
 
 USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
                 IndexConstraintViolated, ClassCapExceeded,
                 harness.BoundsExceeded, harness.UnknownSuite,
                 rep_mod.NotALeaf, rep_mod.BadLeafPair)
+
+MAX_TREE_RANK = 16  # tree and leaves walk the whole rank-n tree: the counts suite's bound
+MAX_WITNESS_WORDS = 10 ** 6  # witness scans n ** max_len words of the longest length
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,12 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           "below rank 3, where no leaf product exists and the "
                           "oracle alone decides")
 
-    cmd = add("tree", "the diagram tree")
+    cmd = add("tree", f"the diagram tree (n <= {MAX_TREE_RANK})")
     group = cmd.add_mutually_exclusive_group()
     group.add_argument("--ascii", action="store_true", help="indented id listing (default)")
     group.add_argument("--dot", action="store_true", help="DOT graph output")
 
-    cmd = add("leaves", "list the leaves with their component counts")
+    cmd = add("leaves", f"list the leaves with their component counts (n <= {MAX_TREE_RANK})")
     cmd.add_argument("--json", action="store_true")
 
     cmd = add("repr", "generator-image table of a leaf representation")
@@ -74,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("witness", "word pair merged by one leaf congruence, split by another")
     cmd.add_argument("--leaf1", required=True)
     cmd.add_argument("--leaf2", required=True)
-    cmd.add_argument("--max-len", type=int, default=6, help="longest word searched (>= 1)")
+    cmd.add_argument("--max-len", type=int, default=6,
+                     help=f"longest word searched (>= 1, with n ** max-len <= {MAX_WITNESS_WORDS})")
 
     cmd = add("verify", "run a verification suite", rank=False)
     cmd.add_argument("suite", choices=harness.SUITE_NAMES + ("all",))
@@ -87,14 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--corrupt", action="store_true",
                      help="failure-injection self-test (faithfulness)")
     return parser
-
-
-def _find_representation(leaf_id: str, n: int):
-    diagram = parse_id(leaf_id, n)
-    for rep in leaf_representations(n):
-        if rep.leaf == diagram:
-            return rep
-    raise MalformedDiagram(f"{leaf_id!r} is not a leaf of the rank-{n} tree")
 
 
 def _cmd_normalize(args) -> int:
@@ -133,6 +129,8 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    if args.rank > MAX_TREE_RANK:
+        raise harness.BoundsExceeded(f"tree needs n <= {MAX_TREE_RANK}, got {args.rank}")
     root = Diagram(args.rank)
     if args.dot:
         print(render(root, "dot"))
@@ -143,6 +141,8 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_leaves(args) -> int:
+    if args.rank > MAX_TREE_RANK:
+        raise harness.BoundsExceeded(f"leaves needs n <= {MAX_TREE_RANK}, got {args.rank}")
     n = args.rank
     reps = leaf_representations(n)
     if args.json:
@@ -164,7 +164,7 @@ def _cmd_leaves(args) -> int:
 
 
 def _cmd_repr(args) -> int:
-    rep = _find_representation(args.leaf, args.rank)
+    rep = build_representation(parse_id(args.leaf, args.rank))
     if args.json:
         payload = {"format": 1, **representation_json(rep)}
         print(json.dumps(payload))
@@ -178,7 +178,7 @@ def _cmd_repr(args) -> int:
 
 
 def _cmd_image(args) -> int:
-    rep = _find_representation(args.leaf, args.rank)
+    rep = build_representation(parse_id(args.leaf, args.rank))
     word = parse_word(args.word, args.rank)
     print(image_str(rep, image(rep, word)))
     return 0
@@ -187,8 +187,13 @@ def _cmd_image(args) -> int:
 def _cmd_witness(args) -> int:
     if args.max_len < 1:
         raise harness.BoundsExceeded(f"witness needs --max-len >= 1, got {args.max_len}")
-    r1 = _find_representation(args.leaf1, args.rank)
-    r2 = _find_representation(args.leaf2, args.rank)
+    r1 = build_representation(parse_id(args.leaf1, args.rank))
+    r2 = build_representation(parse_id(args.leaf2, args.rank))
+    # The rank is >= 3 here and 3 ** 13 > 10**6: the cap keeps a huge --max-len cheap.
+    if args.rank ** min(args.max_len, 13) > MAX_WITNESS_WORDS:
+        raise harness.BoundsExceeded(
+            f"witness needs n ** max-len <= {MAX_WITNESS_WORDS}, "
+            f"got {args.rank} ** {args.max_len}")
     found = incomparability_witness(r1, r2, args.max_len)
     if found is None:
         print(f"no witness up to length {args.max_len}")

@@ -70,10 +70,15 @@ def parse_word(text: str, n: int) -> Word:
         letters = tuple(ord(ch) - ord("a") + 1 for ch in tokens[0])
     else:
         raise WordSyntaxError(f"cannot parse word {text!r}")
-    for x in letters:
-        if not 1 <= x <= n:
-            raise WordSyntaxError(f"letter {x} outside 1..{n} in word {text!r}")
+    check_letters(letters, n)
     return letters
+
+
+def check_letters(word: Word, n: int) -> None:
+    """Raise WordSyntaxError unless every letter of `word` lies in 1..n."""
+    for x in word:
+        if not 1 <= x <= n:
+            raise WordSyntaxError(f"letter {x} outside 1..{n}")
 
 
 def format_word(word: Word) -> str:
@@ -268,7 +273,7 @@ def decode_staircase(word: Word, n: int) -> tuple[tuple[int, ...], ...] | None:
     return tuple(tuple(row) for row in rows)
 
 
-def _projection_q(word: Word, x: int, y: int) -> int:
+def projection_q(word: Word, x: int, y: int) -> int:
     """q-exponent of the image of `word` in the bicyclic monoid under
     a_g -> p (g <= x), 1 (x < g < y), q (g >= y); qp = 1 cancels."""
     q = 0
@@ -284,16 +289,14 @@ def to_staircase(word: Word, n: int) -> StaircaseForm:
     """Canonical form of `word` in the Chinese monoid of rank n.
 
     Decoded from invariants of the class: the letter counts and, for
-    1 <= x < y <= n, the bicyclic projection B(x, y) = `_projection_q`.  Each
+    1 <= x < y <= n, the bicyclic projection B(x, y) = `projection_q`.  Each
     projection is a bicyclic component of a leaf representation, hence a
     homomorphism, so all of them are constant on the class; on the staircase
     word they determine the exponents linearly.  A decoding error shows as a
     negative exponent, which StaircaseForm rejects.
     """
-    for x in word:
-        if not 1 <= x <= n:
-            raise WordSyntaxError(f"letter {x} outside 1..{n}")
-    b = {(x, y): _projection_q(word, x, y)
+    check_letters(word, n)
+    b = {(x, y): projection_q(word, x, y)
          for y in range(2, n + 1) for x in range(1, y)}
 
     def col(y: int, j: int) -> int:  # sum of k[r][j] over the rows r >= y > j

@@ -150,7 +150,7 @@ def _run_boxplus(params: dict, rng: random.Random) -> tuple[int, list[str]]:
     max_word_len = params.setdefault("max_word_len", 3)
     _require(3 <= max_n <= 6, f"boxplus needs 3 <= max_n <= 6, got {max_n}")
     _require(0 <= max_word_len <= 4,
-             f"boxplus needs max_word_len <= 4, got {max_word_len}")
+             f"boxplus needs 0 <= max_word_len <= 4, got {max_word_len}")
     failures = []
     instances = 0
     for n in range(3, max_n + 1):
@@ -174,7 +174,7 @@ def _run_identity(params: dict, rng: random.Random) -> tuple[int, list[str]]:
     samples = params.setdefault("samples", 200)
     max_n = params.setdefault("max_n", 5)
     max_len = params.setdefault("max_len", 4)
-    _require(1 <= samples <= 10_000, f"identity needs samples <= 10000, got {samples}")
+    _require(1 <= samples <= 10_000, f"identity needs 1 <= samples <= 10000, got {samples}")
     _require(3 <= max_n <= 6 and 1 <= max_len <= 6,
              f"identity bound exceeded: max_n={max_n}, max_len={max_len}")
     failures = []

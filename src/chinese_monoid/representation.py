@@ -17,22 +17,22 @@ The product of the images over all leaves decides word equality exactly,
 which is the fast counterpart of the breadth-first oracle in `core`.  Each
 component of an image depends only on that component's column of the
 generator-image table: N and Z columns add ints along the word, B columns
-fold bicyclic pairs.  Across the T_n leaves of rank n there are only
-n(n-1)/2 distinct B columns and n distinct N/Z columns (pinned by
-`test_distinct_columns_are_quadratic`), so `eq_via_embedding` evaluates each
-distinct column once: O((n^2 + n)|w|) instead of O(T_n n |w|).
+fold bicyclic pairs.  Across the T_n leaves of rank n the distinct columns
+are the n letter counts and, for each 1 <= x < y <= n, the bicyclic
+projection `core.projection_q` (pinned by
+`test_leaf_table_columns_are_the_projections`), so `eq_via_embedding`
+compares those alone: O(n^2 |w|), with no per-rank set-up.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .bicyclic import IDENTITY, P, Q, Bicyclic
-from .core import Word
-from .tree import Diagram, enumerate_leaves
+from .core import Word, WordSyntaxError, check_letters, projection_q
+from .tree import Diagram, RankTooSmall, enumerate_leaves
 
 
 class NotALeaf(Exception):
@@ -159,44 +159,32 @@ def _column_value(kind: str, entries: list) -> int | Bicyclic:
 
 def image(rep: LeafRepresentation, word: Word) -> ImageTuple:
     """Componentwise product of the generator images along the word."""
+    if word and (min(word) < 1 or max(word) > rep.n):
+        raise WordSyntaxError(f"word {word} has a letter outside 1..{rep.n}")
     rows = [rep.images[letter - 1] for letter in word]
     return tuple(_column_value(comp.kind, [row[c] for row in rows])
                  for c, comp in enumerate(rep.schema))
 
 
-@lru_cache(maxsize=None)
 def leaf_representations(n: int) -> tuple[LeafRepresentation, ...]:
     """All leaf representations of rank n, in leaf enumeration order."""
     return tuple(build_representation(leaf) for leaf in enumerate_leaves(n))
 
 
-@lru_cache(maxsize=None)
-def _distinct_columns(n: int) -> tuple[tuple[str, tuple], ...]:
-    """Every distinct (kind, column) of the rank-n leaf tables, N/Z ones first.
-
-    A column holds one component's entries for generators 1..n.  N and Z
-    columns share the kind "N", since both add their entries.  They come
-    first because they are the cheaper ones and already separate words whose
-    letter counts differ.
-    """
-    columns: dict[tuple[str, tuple], None] = {}
-    for rep in leaf_representations(n):
-        for comp, column in zip(rep.schema, zip(*rep.images)):
-            columns["B" if comp.kind == "B" else "N", column] = None
-    return tuple(sorted(columns, key=lambda key: key[0] == "B"))
-
-
 def eq_via_embedding(n: int, w: Word, v: Word) -> bool:
     """Decide w = v by comparing images under every leaf representation.
 
-    Each distinct table column is compared once, stopping at the first that
-    separates w and v.
+    Only the distinct table columns are compared, stopping at the first that
+    separates w and v: the letter counts, then each bicyclic projection
+    (x, y) by its q-exponent, which with equal counts fixes the p-exponent.
     """
-    w_index = [letter - 1 for letter in w]
-    v_index = [letter - 1 for letter in v]
-    return all(_column_value(kind, [column[g] for g in w_index])
-               == _column_value(kind, [column[g] for g in v_index])
-               for kind, column in _distinct_columns(n))
+    if n < 3:
+        raise RankTooSmall(f"rank must be >= 3, got {n}")
+    check_letters(w + v, n)
+    if sorted(w) != sorted(v):
+        return False
+    return all(projection_q(w, x, y) == projection_q(v, x, y)
+               for y in range(2, n + 1) for x in range(1, y))
 
 
 def arc_element_image(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTuple:

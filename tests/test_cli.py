@@ -125,9 +125,33 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "max-len" in err and out == ""
     code, _, err = run(capsys, "eq", "-n", "2", "1", "1", "--method", "embedding")
     assert code == 2 and "rank must be >= 3" in err
+    code, out, err = run(capsys, "tree", "-n", "17")
+    assert code == 2 and "n <= 16" in err and out == ""
+    code, out, err = run(capsys, "leaves", "-n", "17")
+    assert code == 2 and "n <= 16" in err and out == ""
+    code, out, err = run(capsys, "witness", "-n", "4", "--leaf1", "a2", "--leaf2", "a4",
+                         "--max-len", "10")
+    assert code == 2 and "n ** max-len" in err and out == ""
     with pytest.raises(SystemExit) as exc:
         main(["verify", "primes"])
     assert exc.value.code == 2
+
+
+def test_leaf_lookups_enumerate_no_leaves(capsys, monkeypatch):
+    import chinese_monoid.cli as cli
+    import chinese_monoid.representation as representation
+    import chinese_monoid.tree as tree
+
+    def forbidden(*args):
+        raise AssertionError("enumerated the leaves")
+    for module, name in ((tree, "enumerate_leaves"), (representation, "enumerate_leaves"),
+                         (representation, "leaf_representations"),
+                         (cli, "leaf_representations")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert representation.eq_via_embedding(16, (16, 1, 2), (2, 16, 1))
+    assert run(capsys, "repr", "-n", "16", "--leaf", "a2")[0] == 0
+    assert run(capsys, "image", "-n", "16", "--leaf", "d2 A", "16 1")[0] == 0
+    assert run(capsys, "witness", "-n", "4", "--leaf1", "a2", "--leaf2", "a4")[0] == 0
 
 
 def test_method_disagreement_is_fatal(capsys, monkeypatch):

@@ -55,6 +55,15 @@ def test_bounds_are_enforced(name, params):
         run_suite(name, **params)
 
 
+@pytest.mark.parametrize("name,params,bound", [
+    ("identity", {"samples": 0}, "1 <= samples <= 10000"),
+    ("boxplus", {"max_word_len": -1}, "0 <= max_word_len <= 4"),
+])
+def test_bound_messages_state_the_full_range(name, params, bound):
+    with pytest.raises(BoundsExceeded, match=bound):
+        run_suite(name, **params)
+
+
 def test_failure_injection_breaks_faithfulness():
     for seed in range(4):
         report = run_suite("faithfulness", n=3, max_len=3, corrupt=True, seed=seed)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chinese_monoid.bicyclic import IDENTITY, P, Q, Bicyclic
-from chinese_monoid.core import StaircaseForm, eq_oracle, to_staircase, words_up_to
+from chinese_monoid.core import (StaircaseForm, WordSyntaxError,
+                                 congruence_class, eq_oracle, to_staircase,
+                                 words_up_to)
 from chinese_monoid.representation import (Component, LeafRepresentation,
                                            NotALeaf, NotAnArcStep,
-                                           _distinct_columns,
                                            arc_element_image, arc_unit_tuple,
                                            build_representation,
                                            eq_via_embedding, identity_tuple,
@@ -22,6 +23,11 @@ from chinese_monoid.tree import Diagram, enumerate_leaves, parse_id, tribonacci
 
 def rep_for(leaf_id: str, n: int):
     return build_representation(parse_id(leaf_id, n))
+
+
+# The Hypothesis strategies draw a leaf per example; building all T_n of them
+# each time would dominate the run.
+cached_leaf_representations = functools.cache(leaf_representations)
 
 
 # --- construction ------------------------------------------------------------
@@ -106,6 +112,37 @@ def test_embedding_agrees_with_oracle_small():
         assert eq_via_embedding(3, w, v) == eq_oracle(w, v)
 
 
+@pytest.mark.parametrize("n,length", [(3, 6), (4, 5)])
+def test_embedding_agrees_with_oracle_on_same_letter_pairs(n, length):
+    # Every pair of words with the same letters: there the letter counts
+    # cannot decide, so each projection (x, y) has to do its share.
+    class_of = {}
+    for word in itertools.product(range(1, n + 1), repeat=length):
+        if word not in class_of:
+            members = frozenset(congruence_class(word))
+            class_of.update(dict.fromkeys(members, members))
+    by_letters = {}
+    for word in class_of:
+        by_letters.setdefault(tuple(sorted(word)), []).append(word)
+    for group in by_letters.values():
+        for w, v in itertools.combinations(group, 2):
+            assert eq_via_embedding(n, w, v) is (class_of[w] is class_of[v]), (w, v)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_letters_outside_the_rank_are_rejected(n):
+    rep = leaf_representations(n)[0]
+    for bad in (0, n + 1):
+        with pytest.raises(WordSyntaxError):
+            eq_via_embedding(n, (bad,), (n,))
+        with pytest.raises(WordSyntaxError):
+            eq_via_embedding(n, (1,), (1, bad))
+        with pytest.raises(WordSyntaxError):
+            image(rep, (bad,))
+        with pytest.raises(WordSyntaxError):
+            image(rep, (1, bad, 1))
+
+
 # --- column evaluation against the per-letter fold -----------------------------
 
 def reference_image(rep, word):
@@ -117,7 +154,7 @@ def reference_image(rep, word):
 @st.composite
 def leaf_and_word(draw):
     n = draw(st.integers(3, 9))
-    rep = draw(st.sampled_from(leaf_representations(n)))
+    rep = draw(st.sampled_from(cached_leaf_representations(n)))
     return rep, tuple(draw(st.lists(st.integers(1, n), max_size=30)))
 
 
@@ -183,13 +220,21 @@ def test_eq_via_embedding_matches_reference_fold(case):
     assert eq_via_embedding(n, w, v) is by_reference
 
 
-def test_distinct_columns_are_quadratic():
-    # The cost bound of eq_via_embedding: n(n-1)/2 bicyclic columns (one per
-    # pair x < y) and n additive ones, where the leaf count grows like T_n.
+def test_leaf_table_columns_are_the_projections():
+    # eq_via_embedding compares letter counts and projection_q for each
+    # x < y; that is the leaf product only if these are exactly the distinct
+    # columns of the generator-image tables (N and Z columns both add, so
+    # they share a kind here).
     for n in range(3, 13):
-        kinds = [kind for kind, _ in _distinct_columns(n)]
-        assert kinds.count("B") == n * (n - 1) // 2
-        assert kinds.count("N") == n
+        columns = {("B" if comp.kind == "B" else "N", column)
+                   for rep in leaf_representations(n)
+                   for comp, column in zip(rep.schema, zip(*rep.images))}
+        units = {("N", tuple(int(g == h) for g in range(1, n + 1)))
+                 for h in range(1, n + 1)}
+        projections = {("B", tuple(P if g <= x else Q if g >= y else IDENTITY
+                                   for g in range(1, n + 1)))
+                       for y in range(2, n + 1) for x in range(1, y)}
+        assert columns == units | projections
 
 
 # --- arc elements ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from chinese_monoid.tree import (Diagram, MalformedDiagram, RankTooSmall,
@@ -116,6 +118,21 @@ def test_parse_id_roundtrip():
     for blank in ("", "  "):
         with pytest.raises(MalformedDiagram):
             parse_id(blank, 4)
+
+
+def test_parsed_leaves_are_tree_leaves():
+    # The CLI builds a leaf's representation straight from its parsed id, so
+    # every id that parses to a leaf must name a leaf of the tree.
+    for n in range(3, 8):
+        leaves = set(enumerate_leaves(n))
+        heads = [f"{kind}{s}" for kind in "da" for s in range(n + 2)]
+        for head, size in itertools.product(heads, range(n)):
+            for tail in itertools.product("ALR", repeat=size):
+                try:
+                    d = parse_id(" ".join((head,) + tail), n)
+                except MalformedDiagram:
+                    continue
+                assert not d.is_leaf or d in leaves, d.id
 
 
 def test_preorder_yields_depths_and_children():
