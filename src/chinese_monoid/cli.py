@@ -24,6 +24,8 @@ USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
                 rep_mod.NotALeaf, rep_mod.BadLeafPair)
 
 MAX_TREE_RANK = 16  # tree and leaves walk the whole rank-n tree: the counts suite's bound
+MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
+MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # the closed form reads n(n-1)/2 projections per letter
 MAX_WITNESS_WORDS = 10 ** 6  # witness scans n ** max_len words of the longest length
 
 
@@ -34,21 +36,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "tree, leaf representations, and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, rank: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, rank: int | None = MAX_RANK) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         if rank:
             cmd.add_argument("-n", "--rank", type=int, required=True,
-                             help="rank of the monoid")
+                             help=f"rank of the monoid (n <= {rank})")
         return cmd
 
-    cmd = add("normalize", "staircase canonical form of a word")
+    letters = f"n(n-1)/2 * letters <= {MAX_PROJECTION_LETTERS:,}"
+    cmd = add("normalize", f"staircase canonical form of a word ({letters})")
     cmd.add_argument("word", help='word, e.g. "3 2 1" or "cba"')
 
-    cmd = add("mul", "normalized product of two words")
+    cmd = add("mul", f"normalized product of two words ({letters})")
     cmd.add_argument("w")
     cmd.add_argument("v")
 
-    cmd = add("eq", "decide equality of two words")
+    cmd = add("eq", f"decide equality of two words ({letters}, except by the oracle)")
     cmd.add_argument("w")
     cmd.add_argument("v")
     cmd.add_argument("--method", choices=("oracle", "embedding", "both"),
@@ -58,12 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           "below rank 3, where no leaf product exists and the "
                           "oracle alone decides")
 
-    cmd = add("tree", f"the diagram tree (n <= {MAX_TREE_RANK})")
+    cmd = add("tree", f"the diagram tree (n <= {MAX_TREE_RANK})", MAX_TREE_RANK)
     group = cmd.add_mutually_exclusive_group()
     group.add_argument("--ascii", action="store_true", help="indented id listing (default)")
     group.add_argument("--dot", action="store_true", help="DOT graph output")
 
-    cmd = add("leaves", f"list the leaves with their component counts (n <= {MAX_TREE_RANK})")
+    cmd = add("leaves", f"list the leaves with their component counts (n <= {MAX_TREE_RANK})",
+              MAX_TREE_RANK)
     cmd.add_argument("--json", action="store_true")
 
     cmd = add("repr", "generator-image table of a leaf representation")
@@ -80,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-len", type=int, default=6,
                      help=f"longest word searched (>= 1, with n ** max-len <= {MAX_WITNESS_WORDS})")
 
-    cmd = add("verify", "run a verification suite", rank=False)
+    cmd = add("verify", "run a verification suite", rank=None)
     cmd.add_argument("suite", choices=harness.SUITE_NAMES + ("all",))
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--n", type=int, help="rank (faithfulness, incomparability)")
@@ -93,8 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_projection_letters(n: int, *words) -> None:
+    work = n * (n - 1) // 2 * sum(map(len, words))
+    if work > MAX_PROJECTION_LETTERS:
+        raise harness.BoundsExceeded(
+            f"needs n(n-1)/2 * letters <= {MAX_PROJECTION_LETTERS:,}, got {work:,}")
+
+
 def _cmd_normalize(args) -> int:
     word = parse_word(args.word, args.rank)
+    _check_projection_letters(args.rank, word)
     form = to_staircase(word, args.rank)
     print(json.dumps(form.as_dict()))
     return 0
@@ -103,6 +115,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_mul(args) -> int:
     w = parse_word(args.w, args.rank)
     v = parse_word(args.v, args.rank)
+    _check_projection_letters(args.rank, w, v)
     form = multiply(to_staircase(w, args.rank), to_staircase(v, args.rank))
     print(json.dumps(form.as_dict()))
     return 0
@@ -112,6 +125,8 @@ def _cmd_eq(args) -> int:
     n = args.rank
     w = parse_word(args.w, n)
     v = parse_word(args.v, n)
+    if args.method != "oracle":
+        _check_projection_letters(n, w, v)
     if args.method == "oracle" or (args.method == "both" and n < 3):
         verdict = eq_oracle(w, v)
     elif args.method == "embedding":
@@ -129,8 +144,6 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    if args.rank > MAX_TREE_RANK:
-        raise harness.BoundsExceeded(f"tree needs n <= {MAX_TREE_RANK}, got {args.rank}")
     root = Diagram(args.rank)
     if args.dot:
         print(render(root, "dot"))
@@ -141,8 +154,6 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_leaves(args) -> int:
-    if args.rank > MAX_TREE_RANK:
-        raise harness.BoundsExceeded(f"leaves needs n <= {MAX_TREE_RANK}, got {args.rank}")
     n = args.rank
     reps = leaf_representations(n)
     if args.json:
@@ -255,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        bound = MAX_TREE_RANK if args.command in ("tree", "leaves") else MAX_RANK
+        if getattr(args, "rank", 0) > bound:
+            raise harness.BoundsExceeded(f"{args.command} needs n <= {bound}, got {args.rank}")
         return _HANDLERS[args.command](args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,8 +65,11 @@ def parse_word(text: str, n: int) -> Word:
         return ()
     tokens = text.split()
     if all(tok.isdigit() for tok in tokens):
-        letters = tuple(int(tok) for tok in tokens)
-    elif len(tokens) == 1 and tokens[0].isalpha() and tokens[0].islower():
+        try:
+            letters = tuple(int(tok) for tok in tokens)
+        except ValueError:  # digits int() does not read ("²"), or too many of them
+            raise WordSyntaxError(f"cannot parse word {text!r}") from None
+    elif len(tokens) == 1 and all("a" <= ch <= "z" for ch in tokens[0]):
         letters = tuple(ord(ch) - ord("a") + 1 for ch in tokens[0])
     else:
         raise WordSyntaxError(f"cannot parse word {text!r}")

@@ -2,24 +2,23 @@
 
 Every leaf diagram determines a quotient of the monoid that embeds into a
 direct product of copies of the naturals and of (bicyclic x integers)
-blocks.  Replaying the leaf's steps builds the generator images directly:
+blocks.  The leaf's marks, in step order, give the columns of its
+generator-image table, one column per component:
 
-  * a dot on s appends one natural component; a_s maps to exponent 1 there,
-    everything else to 0, and s retires;
-  * an arc joining (x, y) appends a bicyclic component and an integer
-    component; a_x maps to (p, 1), a_y to (q, 0), still-active generators
-    below x to (p, 0), above y to (q, 0), retired ones to the identity,
-    and x, y retire;
-  * generators never used get a trailing natural component of their own
-    (they generate a free commutative factor).
+  * a dot on s: a natural component, the unit column (a_s -> 1, else 0);
+  * an arc (x, y): a bicyclic component with a_g -> p for g <= x, 1 for
+    x < g < y and q for g >= y, which is the rule of `core.projection_q`
+    by definition (the generators under an arc are the ones already used),
+    then an integer component, the unit column at x;
+  * each generator no mark uses: a trailing natural unit column (it
+    generates a free commutative factor).
 
 The product of the images over all leaves decides word equality exactly,
 which is the fast counterpart of the breadth-first oracle in `core`.  Each
-component of an image depends only on that component's column of the
-generator-image table: N and Z columns add ints along the word, B columns
-fold bicyclic pairs.  Across the T_n leaves of rank n the distinct columns
-are the n letter counts and, for each 1 <= x < y <= n, the bicyclic
-projection `core.projection_q` (pinned by
+component of an image depends only on its column: N and Z columns add ints
+along the word, B columns fold bicyclic pairs.  Across the T_n leaves of
+rank n the distinct columns are the n letter counts and the projections
+(x, y) for 1 <= x < y <= n (pinned by
 `test_leaf_table_columns_are_the_projections`), so `eq_via_embedding`
 compares those alone: O(n^2 |w|), with no per-rank set-up.
 """
@@ -94,48 +93,32 @@ def tuple_mul(schema: tuple[Component, ...], a: ImageTuple, b: ImageTuple) -> Im
     )
 
 
+def _unit_column(n: int, g: int) -> tuple[int, ...]:
+    return (0,) * (g - 1) + (1,) + (0,) * (n - g)
+
+
 def build_representation(leaf: Diagram) -> LeafRepresentation:
     """Generator-image table of the leaf's quotient, per the module rules."""
     if not leaf.is_leaf:
         raise NotALeaf(f"{leaf.id!r} is not a leaf")
     n = leaf.n
     schema: list[Component] = []
-    vectors: list[list] = [[] for _ in range(n)]
-    active = set(range(1, n + 1))
-    dots = iter(leaf.dots)
-    arcs = iter(leaf.arcs)
-    for step in leaf.steps:
-        kind = step[0] if isinstance(step, tuple) else step
-        if kind in ("d", "L", "R"):
-            s = next(dots)
-            schema.append(Component("N", ("dot", s)))
-            for g in range(1, n + 1):
-                vectors[g - 1].append(1 if g == s else 0)
-            active.discard(s)
+    columns: list[tuple] = []
+    for mark in leaf.marks:
+        if mark[0] == "dot":
+            schema.append(Component("N", mark))
+            columns.append(_unit_column(n, mark[1]))
         else:
-            x, y = next(arcs)
-            schema.append(Component("B", ("arc", x, y)))
-            schema.append(Component("Z", ("arc", x, y)))
-            for g in range(1, n + 1):
-                if g == x:
-                    vectors[g - 1] += [P, 1]
-                elif g == y:
-                    vectors[g - 1] += [Q, 0]
-                elif g in active:
-                    vectors[g - 1] += [P if g < x else Q, 0]
-                else:
-                    vectors[g - 1] += [IDENTITY, 0]
-            active.discard(x)
-            active.discard(y)
-    for g in sorted(active):
-        schema.append(Component("N", ("free", g)))
-        for h in range(1, n + 1):
-            vectors[h - 1].append(1 if h == g else 0)
-    return LeafRepresentation(
-        leaf=leaf,
-        schema=tuple(schema),
-        images=tuple(tuple(vec) for vec in vectors),
-    )
+            _, x, y = mark
+            schema += [Component("B", mark), Component("Z", mark)]
+            columns += [(P,) * x + (IDENTITY,) * (y - x - 1) + (Q,) * (n + 1 - y),
+                        _unit_column(n, x)]
+    used = {g for mark in leaf.marks for g in mark[1:]}
+    for g in range(1, n + 1):
+        if g not in used:
+            schema.append(Component("N", ("free", g)))
+            columns.append(_unit_column(n, g))
+    return LeafRepresentation(leaf=leaf, schema=tuple(schema), images=tuple(zip(*columns)))
 
 
 def _column_value(kind: str, entries: list) -> int | Bicyclic:

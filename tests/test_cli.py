@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from chinese_monoid.cli import main
+from chinese_monoid.tree import enumerate_leaves
 
 
 def run(capsys, *argv):
@@ -132,9 +134,49 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "witness", "-n", "4", "--leaf1", "a2", "--leaf2", "a4",
                          "--max-len", "10")
     assert code == 2 and "n ** max-len" in err and out == ""
+    code, out, err = run(capsys, "image", "-n", "1001", "--leaf", "a2", "1")
+    assert code == 2 and "n <= 1000" in err and out == ""
+    code, out, err = run(capsys, "normalize", "-n", "1001", "1")
+    assert code == 2 and "n <= 1000" in err and out == ""
+    # n(n-1)/2 = 499,500 projections at n = 1000: 60 letters fit, 61 do not.
+    code, out, err = run(capsys, "normalize", "-n", "1000", " ".join(["1"] * 61))
+    assert code == 2 and "n(n-1)/2 * letters" in err and out == ""
+    code, out, err = run(capsys, "mul", "-n", "1000", " ".join(["1"] * 31), " ".join(["2"] * 30))
+    assert code == 2 and "n(n-1)/2 * letters" in err and out == ""
+    for method in ("embedding", "both"):
+        code, out, err = run(capsys, "eq", "-n", "1000", " ".join(["1"] * 31),
+                             " ".join(["1"] * 30), "--method", method)
+        assert code == 2 and "n(n-1)/2 * letters" in err and out == ""
     with pytest.raises(SystemExit) as exc:
         main(["verify", "primes"])
     assert exc.value.code == 2
+
+
+def test_the_oracle_is_not_bounded_by_projections(capsys):
+    word = " ".join(["1"] * 61)
+    assert run(capsys, "eq", "-n", "1000", word, word, "--method", "oracle")[:2] == (0, "true\n")
+
+
+# sha256 of the concatenated stdout of each group.  This output is byte-stable:
+# a change to the tree code or the leaf tables must leave it as it is.
+GOLDEN = {
+    "tree": ([("tree", "-n", str(n)) for n in range(3, 13)],
+             "e9753ccff77794573fbe875fb1e3f94928b7d3cec7e09f4a73e81458383e7359"),
+    "tree --dot": ([("tree", "-n", str(n), "--dot") for n in range(3, 13)],
+                   "923f24cd7356c7e1961321c47af19f236fb755a599d52c30e3be78240b81a982"),
+    "leaves --json": ([("leaves", "-n", str(n), "--json") for n in range(3, 13)],
+                      "92443c42e46a5fcbb447dc84820d760c06a907a3ed4bcce92dc7567539c99d06"),
+    "repr -n 7 --json": ([("repr", "-n", "7", "--leaf", leaf.id, "--json")
+                          for leaf in enumerate_leaves(7)],
+                         "f2ac3a82324c1ce5488a0b51d84cf6b29d661077c69f12ca0a5131ad1ea1c361"),
+}
+
+
+@pytest.mark.parametrize("group", GOLDEN)
+def test_cli_output_matches_the_golden_digest(capsys, group):
+    commands, digest = GOLDEN[group]
+    text = "".join(run(capsys, *argv)[1] for argv in commands)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_leaf_lookups_enumerate_no_leaves(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
@@ -46,6 +46,26 @@ def test_parse_rejects_bad_input():
         parse_word("a 2", 3)
     with pytest.raises(WordSyntaxError):
         parse_word("x!", 26)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(), st.integers(-2, 30))
+@example("²", 3)         # a digit int() does not read
+@example("1" * 5000, 3)  # more digits than int() reads
+@example("é", 200)       # a lowercase letter outside a..z
+def test_parse_word_raises_only_word_syntax_errors(text, n):
+    try:
+        word = parse_word(text, n)
+    except WordSyntaxError:
+        return
+    assert all(1 <= x <= n for x in word)
+
+
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), max_size=12).map(tuple))))
+def test_parse_word_roundtrip(case):
+    n, word = case
+    assert parse_word(format_word(word), n) == word
 
 
 # --- rewriting -------------------------------------------------------------
