@@ -23,10 +23,21 @@ USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
                 harness.BoundsExceeded, harness.UnknownSuite,
                 rep_mod.NotALeaf, rep_mod.BadLeafPair)
 
-MAX_TREE_RANK = 16  # tree and leaves walk the whole rank-n tree: the counts suite's bound
+# tree and leaves walk the whole rank-n tree: the counts suite's bound
+MAX_TREE_RANK = harness.SUITES["counts"][1]["max_n"][2]
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
 MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # the closed form reads n(n-1)/2 projections per letter
 MAX_WITNESS_WORDS = 10 ** 6  # witness scans n ** max_len words of the longest length
+MAX_WITNESS_IMAGES = 10 ** 7  # and each word's image reads about n table entries
+
+
+def _suite_flags() -> dict[str, dict[str, tuple]]:
+    """Each suite parameter -> {suite that reads it: (default, low, high)}."""
+    flags: dict[str, dict[str, tuple]] = {}
+    for suite, (_, table) in harness.SUITES.items():
+        for name, bounds in table.items():
+            flags.setdefault(name, {})[suite] = bounds
+    return flags
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,18 +93,20 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--leaf1", required=True)
     cmd.add_argument("--leaf2", required=True)
     cmd.add_argument("--max-len", type=int, default=6,
-                     help=f"longest word searched (>= 1, with n ** max-len <= {MAX_WITNESS_WORDS})")
+                     help=f"longest word searched (>= 1, with n ** max-len <= "
+                          f"{MAX_WITNESS_WORDS:,} and n ** max-len * n <= {MAX_WITNESS_IMAGES:,})")
 
     cmd = add("verify", "run a verification suite", rank=None)
     cmd.add_argument("suite", choices=harness.SUITE_NAMES + ("all",))
     cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--n", type=int, help="rank (faithfulness, incomparability)")
-    cmd.add_argument("--max-n", type=int, help="largest rank (counts, boxplus, identity, centrality, schema)")
-    cmd.add_argument("--max-len", type=int, help="word-length bound")
-    cmd.add_argument("--max-word-len", type=int, help="middle-word bound (boxplus)")
-    cmd.add_argument("--samples", type=int, help="sample count (identity)")
-    cmd.add_argument("--corrupt", action="store_true",
-                     help="failure-injection self-test (faithfulness)")
+    for name, readers in _suite_flags().items():
+        flag = "--" + name.replace("_", "-")
+        if all(isinstance(default, bool) for default, _, _ in readers.values()):
+            cmd.add_argument(flag, action="store_true", default=None,
+                             help="switch read by " + ", ".join(readers))
+        else:
+            cmd.add_argument(flag, type=int, help="read by " + ", ".join(
+                f"{suite} ({low}..{high})" for suite, (_, low, high) in readers.items()))
     return parser
 
 
@@ -196,15 +209,21 @@ def _cmd_image(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    n = args.rank
     if args.max_len < 1:
         raise harness.BoundsExceeded(f"witness needs --max-len >= 1, got {args.max_len}")
-    r1 = build_representation(parse_id(args.leaf1, args.rank))
-    r2 = build_representation(parse_id(args.leaf2, args.rank))
-    # The rank is >= 3 here and 3 ** 13 > 10**6: the cap keeps a huge --max-len cheap.
-    if args.rank ** min(args.max_len, 13) > MAX_WITNESS_WORDS:
+    # Below rank 3 parse_id refuses every leaf; from 3 up, 3 ** 13 > 10**6, so the
+    # capped exponent keeps a huge --max-len cheap.
+    words = n ** min(args.max_len, 13)
+    if words > MAX_WITNESS_WORDS:
         raise harness.BoundsExceeded(
-            f"witness needs n ** max-len <= {MAX_WITNESS_WORDS}, "
-            f"got {args.rank} ** {args.max_len}")
+            f"witness needs n ** max-len <= {MAX_WITNESS_WORDS:,}, got {n} ** {args.max_len}")
+    if words * n > MAX_WITNESS_IMAGES:
+        raise harness.BoundsExceeded(
+            f"witness needs n ** max-len * n <= {MAX_WITNESS_IMAGES:,}, "
+            f"got {n} ** {args.max_len} * {n} = {words * n:,}")
+    r1 = build_representation(parse_id(args.leaf1, n))
+    r2 = build_representation(parse_id(args.leaf2, n))
     found = incomparability_witness(r1, r2, args.max_len)
     if found is None:
         print(f"no witness up to length {args.max_len}")
@@ -219,20 +238,12 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    for key, attr in (("n", "n"), ("max_n", "max_n"), ("max_len", "max_len"),
-                      ("max_word_len", "max_word_len"), ("samples", "samples")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    if args.corrupt:
-        overrides["corrupt"] = True
+    overrides = {name: getattr(args, name) for name in _suite_flags()
+                 if getattr(args, name) is not None}
     if args.suite == "all":
         if overrides:
-            print("parameter overrides apply to single suites, not 'all'",
-                  file=sys.stderr)
-            return 2
-        runs = [(name, dict(params)) for name, params in harness.DEFAULT_BATTERY]
+            raise harness.BoundsExceeded("parameter overrides apply to single suites, not 'all'")
+        runs = harness.DEFAULT_BATTERY
     else:
         runs = [(args.suite, overrides)]
     all_passed = True

@@ -387,6 +387,21 @@ def first_level_pairs(kind: str, s: int, n: int) -> CongruencePairs:
     return frozenset(pairs)
 
 
+#: Each variant of the annihilation identities: admissibility of
+#: (i, j, k, l, m), with 0 for an absent m, and whether a_m comes first.
+_BOXPLUS = {
+    22: (lambda i, j, k, l, m: m == 0 and i > j >= k > l, False),
+    23: (lambda i, j, k, l, m: k == j + 1 and i > j >= m > l, False),
+    32: (lambda i, j, k, l, m: k == j + 1 and i > m > j >= l, True),
+}
+
+
+def _boxplus_rule(variant: int):
+    if variant not in _BOXPLUS:
+        raise IndexConstraintViolated(f"variant must be one of 22, 23, 32, got {variant}")
+    return _BOXPLUS[variant]
+
+
 def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
                    l: int, k: int | None = None, m: int | None = None) -> bool:
     """Check one instance of the two-sided annihilation identities.
@@ -397,41 +412,21 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
         a_j a_i w a_k a_l.
     Variant 23 appends a_m (i >= j+1 > j >= m > l, k forced to j+1);
     variant 32 prepends a_m (i > m >= j+1 > j >= l, k forced to j+1).
+    Each variant is one predicate in `_BOXPLUS`, which `boxplus_tuples`
+    enumerates; an index outside 1..n, or a tuple the predicate rejects,
+    raises IndexConstraintViolated.
     """
-    for x in (i, j, l) + (() if k is None else (k,)) + (() if m is None else (m,)) + w:
-        if not 1 <= x <= n:
+    admissible, m_first = _boxplus_rule(variant)
+    for x in (i, j, k, l, m) + w:
+        if x is not None and not 1 <= x <= n:
             raise IndexConstraintViolated(f"index {x} outside 1..{n}")
-    if variant == 22:
-        if k is None:
-            raise IndexConstraintViolated("variant 22 needs k")
-        if m is not None:
-            raise IndexConstraintViolated("variant 22 takes no m")
-        if not (i > j >= k > l):
-            raise IndexConstraintViolated(f"need i > j >= k > l, got {(i, j, k, l)}")
-        prefix: Word = ()
-        suffix: Word = ()
-    elif variant == 23:
-        if m is None:
-            raise IndexConstraintViolated("variant 23 needs m")
-        if k is None:
-            k = j + 1
-        if k != j + 1:
-            raise IndexConstraintViolated(f"variant 23 forces k = j+1, got k={k}")
-        if not (i >= j + 1 and j >= m > l):
-            raise IndexConstraintViolated(f"need i >= j+1 > j >= m > l, got {(i, j, m, l)}")
-        prefix, suffix = (), (m,)
-    elif variant == 32:
-        if m is None:
-            raise IndexConstraintViolated("variant 32 needs m")
-        if k is None:
-            k = j + 1
-        if k != j + 1:
-            raise IndexConstraintViolated(f"variant 32 forces k = j+1, got k={k}")
-        if not (i > m >= j + 1 and j >= l):
-            raise IndexConstraintViolated(f"need i > m >= j+1 > j >= l, got {(i, m, j, l)}")
-        prefix, suffix = (m,), ()
-    else:
-        raise IndexConstraintViolated(f"variant must be one of 22, 23, 32, got {variant}")
+    if k is None:
+        k = j + 1
+    if not admissible(i, j, k, l, m or 0):
+        raise IndexConstraintViolated(
+            f"variant {variant} does not admit (i, j, k, l, m) = {(i, j, k, l, m)}")
+    extra: Word = () if m is None else (m,)
+    prefix, suffix = (extra, ()) if m_first else ((), extra)
 
     def nf(left: Word, right: Word) -> tuple[tuple[int, ...], ...]:
         return to_staircase(prefix + left + w + right + suffix, n).k
@@ -442,23 +437,9 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
 
 def boxplus_tuples(n: int, variant: int) -> Iterator[dict[str, int]]:
     """All admissible index tuples of a variant, as kwargs for verify_boxplus."""
-    if variant == 22:
-        for j in range(2, n + 1):
-            for i in range(j + 1, n + 1):
-                for k in range(2, j + 1):
-                    for l in range(1, k):
-                        yield {"i": i, "j": j, "k": k, "l": l}
-    elif variant == 23:
-        for j in range(2, n):
-            for i in range(j + 1, n + 1):
-                for m in range(2, j + 1):
-                    for l in range(1, m):
-                        yield {"i": i, "j": j, "m": m, "l": l}
-    elif variant == 32:
-        for j in range(1, n - 1):
-            for m in range(j + 1, n + 1):
-                for i in range(m + 1, n + 1):
-                    for l in range(1, j + 1):
-                        yield {"i": i, "j": j, "m": m, "l": l}
-    else:
-        raise IndexConstraintViolated(f"variant must be one of 22, 23, 32, got {variant}")
+    admissible, _ = _boxplus_rule(variant)
+    fourth = "k" if variant == 22 else "m"
+    for i, j, x, l in itertools.product(range(1, n + 1), repeat=4):
+        indices = {"i": i, "j": j, fourth: x, "l": l}
+        if admissible(**{"k": j + 1, "m": 0, **indices}):
+            yield indices

@@ -7,6 +7,13 @@ inherited from the bicyclic monoid, centrality modulo the first-level
 congruences, pairwise incomparability of leaf congruences, and the component
 arithmetic of the leaf schemas.  Suites are deterministic given their
 parameters; the sampled suite takes an explicit seed.
+
+`SUITES` is the one registry: each suite's runner and its parameters in
+report order, name -> (default, low, high).  `run_suite` refuses a parameter
+the suite does not read, fills in the defaults and checks every range before
+the runner starts, so no suite body sets a default or checks a bound.  The
+one exception is faithfulness's `max_len`, whose default (5 or 4) and cap
+(6 or 4) depend on `n`.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ class UnknownSuite(Exception):
 
 
 class BoundsExceeded(Exception):
-    """Requested parameters are beyond the documented desk-scale bounds."""
+    """Requested parameters are unread by the suite or beyond its desk-scale bounds."""
 
 
 @dataclass
@@ -54,11 +61,6 @@ class SuiteReport:
             "pass": self.passed,
             "failures": self.failures,
         }
-
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise BoundsExceeded(message)
 
 
 def _class_partition(n: int, max_len: int) -> dict[core.Word, int]:
@@ -95,12 +97,10 @@ def _corrupt_one(reps, rng: random.Random):
 
 
 def _run_counts(params: dict, rng: random.Random) -> tuple[int, list[str]]:
-    max_n = params.setdefault("max_n", 12)
-    _require(3 <= max_n <= 16, f"counts needs 3 <= max_n <= 16, got {max_n}")
     failures = []
     instances = 0
     table = {}
-    for n in range(3, max_n + 1):
+    for n in range(3, params["max_n"] + 1):
         instances += 1
         got = len(enumerate_leaves(n))
         want = tribonacci(n)
@@ -112,18 +112,16 @@ def _run_counts(params: dict, rng: random.Random) -> tuple[int, list[str]]:
 
 
 def _run_faithfulness(params: dict, rng: random.Random) -> tuple[int, list[str]]:
-    n = params.setdefault("n", 3)
-    max_len = params.setdefault("max_len", 5 if n == 3 else 4)
-    corrupt = params.setdefault("corrupt", False)
-    _require(n in (3, 4), f"faithfulness needs n in (3, 4), got {n}")
-    _require(1 <= max_len <= (6 if n == 3 else 4),
-             f"faithfulness bound exceeded: n={n}, max_len={max_len}")
+    n = params["n"]
+    if params["max_len"] is None:
+        params["max_len"] = 5 if n == 3 else 4
+    max_len = params["max_len"]
+    if n == 4 and max_len > 4:
+        raise BoundsExceeded(f"faithfulness needs 1 <= max_len <= 4 at n = 4, got {max_len}")
     class_id = _class_partition(n, max_len)
     reps = leaf_representations(n)
-    corrupted_leaf = None
-    if corrupt:
-        reps, corrupted_leaf = _corrupt_one(reps, rng)
-        params["corrupted_leaf"] = corrupted_leaf
+    if params["corrupt"]:
+        reps, params["corrupted_leaf"] = _corrupt_one(reps, rng)
     words = list(words_up_to(n, max_len))
     signature = {w: tuple(image(rep, w) for rep in reps) for w in words}
     failures = []
@@ -146,15 +144,10 @@ def _run_faithfulness(params: dict, rng: random.Random) -> tuple[int, list[str]]
 
 
 def _run_boxplus(params: dict, rng: random.Random) -> tuple[int, list[str]]:
-    max_n = params.setdefault("max_n", 5)
-    max_word_len = params.setdefault("max_word_len", 3)
-    _require(3 <= max_n <= 6, f"boxplus needs 3 <= max_n <= 6, got {max_n}")
-    _require(0 <= max_word_len <= 4,
-             f"boxplus needs 0 <= max_word_len <= 4, got {max_word_len}")
     failures = []
     instances = 0
-    for n in range(3, max_n + 1):
-        words = list(words_up_to(n, max_word_len))
+    for n in range(3, params["max_n"] + 1):
+        words = list(words_up_to(n, params["max_word_len"]))
         for variant in (22, 23, 32):
             for indices in core.boxplus_tuples(n, variant):
                 for w in words:
@@ -171,12 +164,7 @@ def _adjan_words(x: core.Word, y: core.Word) -> tuple[core.Word, core.Word]:
 
 
 def _run_identity(params: dict, rng: random.Random) -> tuple[int, list[str]]:
-    samples = params.setdefault("samples", 200)
-    max_n = params.setdefault("max_n", 5)
-    max_len = params.setdefault("max_len", 4)
-    _require(1 <= samples <= 10_000, f"identity needs 1 <= samples <= 10000, got {samples}")
-    _require(3 <= max_n <= 6 and 1 <= max_len <= 6,
-             f"identity bound exceeded: max_n={max_n}, max_len={max_len}")
+    samples, max_n, max_len = params["samples"], params["max_n"], params["max_len"]
     failures = []
     cross_checked = 0
     for index in range(samples):
@@ -200,14 +188,10 @@ def _run_identity(params: dict, rng: random.Random) -> tuple[int, list[str]]:
 
 
 def _run_centrality(params: dict, rng: random.Random) -> tuple[int, list[str]]:
-    max_n = params.setdefault("max_n", 4)
-    max_len = params.setdefault("max_len", 4)
-    _require(3 <= max_n <= 5 and 0 <= max_len <= 5,
-             f"centrality bound exceeded: max_n={max_n}, max_len={max_len}")
     failures = []
     instances = 0
-    for n in range(3, max_n + 1):
-        words = list(words_up_to(n, max_len))
+    for n in range(3, params["max_n"] + 1):
+        words = list(words_up_to(n, params["max_len"]))
         for s in range(2, n):
             pairs = first_level_pairs("dot", s, n)
             for w in words:
@@ -225,11 +209,8 @@ def _run_centrality(params: dict, rng: random.Random) -> tuple[int, list[str]]:
 
 
 def _run_incomparability(params: dict, rng: random.Random) -> tuple[int, list[str]]:
-    n = params.setdefault("n", 4)
-    max_len = params.setdefault("max_len", 6)
-    _require(3 <= n <= 5 and 1 <= max_len <= 8,
-             f"incomparability bound exceeded: n={n}, max_len={max_len}")
-    reps = leaf_representations(n)
+    max_len = params["max_len"]
+    reps = leaf_representations(params["n"])
     failures = []
     instances = 0
     for r1 in reps:
@@ -249,11 +230,9 @@ def _run_incomparability(params: dict, rng: random.Random) -> tuple[int, list[st
 
 
 def _run_schema(params: dict, rng: random.Random) -> tuple[int, list[str]]:
-    max_n = params.setdefault("max_n", 10)
-    _require(3 <= max_n <= 12, f"schema needs 3 <= max_n <= 12, got {max_n}")
     failures = []
     instances = 0
-    for n in range(3, max_n + 1):
+    for n in range(3, params["max_n"] + 1):
         total = 0
         for rep in leaf_representations(n):
             instances += 1
@@ -272,17 +251,21 @@ def _run_schema(params: dict, rng: random.Random) -> tuple[int, list[str]]:
     return instances, failures
 
 
-_SUITES = {
-    "counts": _run_counts,
-    "faithfulness": _run_faithfulness,
-    "boxplus": _run_boxplus,
-    "identity": _run_identity,
-    "centrality": _run_centrality,
-    "incomparability": _run_incomparability,
-    "schema": _run_schema,
+#: Each suite's runner and parameters in report order: name -> (default, low,
+#: high).  A default of None is chosen by the runner.
+SUITES = {
+    "counts": (_run_counts, {"max_n": (12, 3, 16)}),
+    "faithfulness": (_run_faithfulness, {"n": (3, 3, 4), "max_len": (None, 1, 6),
+                                         "corrupt": (False, False, True)}),
+    "boxplus": (_run_boxplus, {"max_n": (5, 3, 6), "max_word_len": (3, 0, 4)}),
+    "identity": (_run_identity, {"samples": (200, 1, 10_000), "max_n": (5, 3, 6),
+                                 "max_len": (4, 1, 6)}),
+    "centrality": (_run_centrality, {"max_n": (4, 3, 5), "max_len": (4, 0, 5)}),
+    "incomparability": (_run_incomparability, {"n": (4, 3, 5), "max_len": (6, 1, 8)}),
+    "schema": (_run_schema, {"max_n": (10, 3, 12)}),
 }
 
-SUITE_NAMES = tuple(_SUITES)
+SUITE_NAMES = tuple(SUITES)
 
 #: The default battery run by `chinese-monoid verify all`.
 DEFAULT_BATTERY = (
@@ -298,13 +281,25 @@ DEFAULT_BATTERY = (
 
 
 def run_suite(name: str, seed: int = 0, **params) -> SuiteReport:
-    """Run one suite and return its report; unknown names raise UnknownSuite."""
-    runner = _SUITES.get(name)
-    if runner is None:
-        raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(_SUITES)}")
+    """Run one suite and return its report.
+
+    An unknown name raises UnknownSuite.  Before the runner starts, a
+    parameter the suite does not read or a value outside its range raises
+    BoundsExceeded; missing parameters take their defaults.
+    """
+    if name not in SUITES:
+        raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    runner, table = SUITES[name]
+    unread = [key for key in params if key not in table]
+    if unread:
+        raise BoundsExceeded(f"{name} does not read {', '.join(unread)}; "
+                             f"it reads {', '.join(table)}")
+    params = dict(params, seed=seed)
+    for key, (default, low, high) in table.items():
+        value = params.setdefault(key, default)
+        if value is not None and not low <= value <= high:
+            raise BoundsExceeded(f"{name} needs {low} <= {key} <= {high}, got {value}")
     rng = random.Random(seed)
-    params = dict(params)
-    params["seed"] = seed
     start = time.perf_counter()
     instances, failures = runner(params, rng)
     elapsed = time.perf_counter() - start

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from chinese_monoid import harness
 from chinese_monoid.cli import main
 from chinese_monoid.tree import enumerate_leaves
 
@@ -150,6 +151,14 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "primes"])
     assert exc.value.code == 2
+    code, out, err = run(capsys, "verify", "all", "--max-n", "4")
+    assert code == 2 and "error:" in err and out == ""
+    for n in ("300", "1000"):
+        code, out, err = run(capsys, "witness", "-n", n, "--leaf1", "a2", "--leaf2", "a" + n,
+                             "--max-len", "2")
+        assert code == 2 and "n ** max-len * n" in err and out == ""
+    code, out, err = run(capsys, "verify", "counts", "--corrupt")
+    assert code == 2 and "does not read corrupt" in err and out == ""
 
 
 def test_the_oracle_is_not_bounded_by_projections(capsys):
@@ -169,6 +178,8 @@ GOLDEN = {
     "repr -n 7 --json": ([("repr", "-n", "7", "--leaf", leaf.id, "--json")
                           for leaf in enumerate_leaves(7)],
                          "f2ac3a82324c1ce5488a0b51d84cf6b29d661077c69f12ca0a5131ad1ea1c361"),
+    "verify all --seed 0": ([("verify", "all", "--seed", "0")],
+                            "0225a873c04bd88cfa614e394d16f5ade898229c3023727206e6ac124bef253d"),
 }
 
 
@@ -177,6 +188,22 @@ def test_cli_output_matches_the_golden_digest(capsys, group):
     commands, digest = GOLDEN[group]
     text = "".join(run(capsys, *argv)[1] for argv in commands)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_every_verify_flag_states_and_enforces_its_range(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for suite, (_, table) in harness.SUITES.items():
+        for name, (default, low, high) in table.items():
+            if isinstance(default, bool):
+                assert f"--{name} switch read by {suite}" in help_text
+                continue
+            assert f"{suite} ({low}..{high})" in help_text
+            code, out, err = run(capsys, "verify", suite, "--" + name.replace("_", "-"),
+                                 str(high + 1))
+            assert code == 2 and out == ""
+            assert f"error: {suite} needs {low} <= {name} <= {high}, got {high + 1}" in err
 
 
 def test_leaf_lookups_enumerate_no_leaves(capsys, monkeypatch):

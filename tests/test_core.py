@@ -1,11 +1,12 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
-                                 StaircaseForm, WordSyntaxError,
+                                 StaircaseForm, WordSyntaxError, boxplus_tuples,
                                  congruence_class, count_classes,
                                  decode_staircase, eq_oracle,
                                  first_level_pairs, format_word, multiply,
@@ -296,3 +297,25 @@ def test_verify_boxplus_constraint_checks():
         verify_boxplus(4, 99, (), i=4, j=3, k=2, l=1)
     with pytest.raises(IndexConstraintViolated):
         verify_boxplus(3, 22, (9,), i=3, j=2, k=2, l=1)
+
+
+@pytest.mark.parametrize("variant", [22, 23, 32])
+def test_boxplus_tuples_count(variant):
+    for n in range(3, 11):
+        assert len(list(boxplus_tuples(n, variant))) == math.comb(n + 1, 4)
+
+
+@pytest.mark.parametrize("variant", [22, 23, 32])
+def test_verify_boxplus_admits_exactly_the_enumerated_tuples(variant):
+    for n in range(3, 6):
+        admitted = {(t["i"], t["j"], t.get("k", t["j"] + 1), t["l"], t.get("m"))
+                    for t in boxplus_tuples(n, variant)}
+        letters = range(1, n + 1)
+        optional = (None,) + tuple(letters)
+        for i, j, l, k, m in itertools.product(letters, letters, letters, optional, optional):
+            filled = k if k is not None or variant == 22 else j + 1
+            if (i, j, filled, l, m) in admitted:
+                assert verify_boxplus(n, variant, (), i=i, j=j, k=k, l=l, m=m)
+            else:
+                with pytest.raises(IndexConstraintViolated):
+                    verify_boxplus(n, variant, (), i=i, j=j, k=k, l=l, m=m)

@@ -1,5 +1,6 @@
 import pytest
 
+from chinese_monoid import harness
 from chinese_monoid.harness import (DEFAULT_BATTERY, SUITE_NAMES,
                                     BoundsExceeded, UnknownSuite, run_suite)
 
@@ -49,6 +50,8 @@ def test_counts_report_contents():
     ("schema", {"max_n": 30}),
     ("faithfulness", {"n": 3, "max_len": 0}),
     ("faithfulness", {"n": 3, "max_len": -3}),
+    ("counts", {"corrupt": True}),
+    ("identity", {"n": 3}),
 ])
 def test_bounds_are_enforced(name, params):
     with pytest.raises(BoundsExceeded):
@@ -62,6 +65,37 @@ def test_bounds_are_enforced(name, params):
 def test_bound_messages_state_the_full_range(name, params, bound):
     with pytest.raises(BoundsExceeded, match=bound):
         run_suite(name, **params)
+
+
+# Each suite's parameters in report order: name -> (default, low, high).
+TABLE = {
+    "counts": {"max_n": (12, 3, 16)},
+    "faithfulness": {"n": (3, 3, 4), "max_len": (None, 1, 6), "corrupt": (False, False, True)},
+    "boxplus": {"max_n": (5, 3, 6), "max_word_len": (3, 0, 4)},
+    "identity": {"samples": (200, 1, 10_000), "max_n": (5, 3, 6), "max_len": (4, 1, 6)},
+    "centrality": {"max_n": (4, 3, 5), "max_len": (4, 0, 5)},
+    "incomparability": {"n": (4, 3, 5), "max_len": (6, 1, 8)},
+    "schema": {"max_n": (10, 3, 12)},
+}
+
+
+def test_suite_table_is_pinned():
+    assert [(name, list(table.items())) for name, (_, table) in harness.SUITES.items()] == \
+        [(name, list(table.items())) for name, table in TABLE.items()]
+
+
+@pytest.mark.parametrize("name,key", [(name, key) for name, table in TABLE.items()
+                                      for key in table])
+def test_every_range_is_checked_before_the_runner(monkeypatch, name, key):
+    def runner(params, rng):
+        raise AssertionError("the runner started")
+    monkeypatch.setitem(harness.SUITES, name, (runner, harness.SUITES[name][1]))
+    _, low, high = TABLE[name][key]
+    for value in (low - 1, high + 1):
+        with pytest.raises(BoundsExceeded, match=f"{name} needs {low} <= {key} <= {high}"):
+            run_suite(name, **{key: value})
+    with pytest.raises(AssertionError):
+        run_suite(name, **{key: high})
 
 
 def test_failure_injection_breaks_faithfulness():
