@@ -12,10 +12,11 @@ the identity.  Every class contains a unique word matching the triangular
 
 which serves as the canonical form.  `to_staircase` decodes its exponents
 from the letter counts and the bicyclic projections of the word, in time
-polynomial in n and |w|.  The breadth-first closure of the relations
-(`congruence_class`, `eq_oracle`) is the correctness oracle the tests and
-suites check everything else against: slow but correct by construction at
-desk scale.
+polynomial in n and |w|; `verify_boxplus` compares these invariants.  The
+breadth-first closure of the relations (`congruence_class`, `eq_oracle`,
+one rule table per call) is the correctness oracle the tests and suites
+check everything else against: slow but correct by construction at desk
+scale.  `eq_oracle` stops as soon as it meets its target.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 Word = tuple[int, ...]
 CongruencePairs = frozenset[tuple[Word, Word]]
@@ -119,34 +120,46 @@ def _window_rewrites(x: int, y: int, z: int) -> set[tuple[int, int, int]]:
 def rewrite_neighbors(word: Word) -> set[Word]:
     """All words one defining-relation rewrite away from `word` (either
     direction, any position).  The word itself is excluded."""
-    out: set[Word] = set()
-    for pos in range(len(word) - 2):
-        x, y, z = word[pos], word[pos + 1], word[pos + 2]
-        tail = word[pos + 3:]
-        head = word[:pos]
-        for window in _window_rewrites(x, y, z):
-            out.add(head + window + tail)
-    out.discard(word)
-    return out
+    return {word[:pos] + window + word[pos + 3:] for pos in range(len(word) - 2)
+            for window in _window_rewrites(*word[pos:pos + 3])}
 
 
-def _oriented_substitutions(extra: Iterable[tuple[Word, Word]]) -> list[tuple[Word, Word]]:
-    subs = []
+def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[Word]:
+    # Yields each member once, in the order generated; see congruence_class.
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+
+    def windows(factor: Word) -> set[Word]:
+        return _window_rewrites(*factor) if len(factor) == 3 else set()
+
+    table: dict[Word, set[Word]] = {}
     for u, v in extra:
         if len(u) != len(v):
             raise ValueError(f"inhomogeneous congruence pair ({u}, {v})")
-        if u == v:
-            continue
-        subs.append((u, v))
-        subs.append((v, u))
-    return subs
-
-
-def _substitute_all(word: Word, u: Word, v: Word) -> Iterator[Word]:
-    k = len(u)
-    for pos in range(len(word) - k + 1):
-        if word[pos:pos + k] == u:
-            yield word[:pos] + v + word[pos + k:]
+        if u != v:
+            table.setdefault(u, windows(u)).add(v)
+            table.setdefault(v, windows(v)).add(u)
+    sizes = sorted({3, *map(len, table)})
+    seen: set[Word] = {word}
+    queue: deque[Word] = deque((word,))
+    yield word
+    while queue:
+        w = queue.popleft()
+        for size in sizes:
+            for pos in range(len(w) - size + 1):
+                factor = w[pos:pos + size]
+                replacements = table.get(factor)
+                if replacements is None:
+                    replacements = table[factor] = windows(factor)
+                for r in replacements:
+                    nb = w[:pos] + r + w[pos + size:]
+                    if nb not in seen:
+                        seen.add(nb)
+                        if len(seen) > cap:
+                            raise ClassCapExceeded(
+                                f"congruence class of {format_word(word)!r} exceeds cap {cap}")
+                        queue.append(nb)
+                        yield nb
 
 
 def congruence_class(word: Word, extra: CongruencePairs = NO_EXTRA,
@@ -154,46 +167,28 @@ def congruence_class(word: Word, extra: CongruencePairs = NO_EXTRA,
     """Breadth-first closure of `word` under the defining relations plus the
     `extra` pairs (substituted in both directions at every position).
 
-    All members have the length of `word`.  Raises ClassCapExceeded once more
+    One rule table per call maps each factor to its replacements: the extra
+    pairs both ways and the relation windows, memoised on first sight.  All
+    members have the length of `word`.  Raises ClassCapExceeded once more
     than `cap` words have been generated.
     """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    subs = _oriented_substitutions(extra)
-    seen: set[Word] = {word}
-    queue: deque[Word] = deque((word,))
-    while queue:
-        w = queue.popleft()
-        fresh: list[Word] = []
-        for nb in rewrite_neighbors(w):
-            if nb not in seen:
-                fresh.append(nb)
-        for u, v in subs:
-            for nb in _substitute_all(w, u, v):
-                if nb not in seen:
-                    fresh.append(nb)
-        for nb in fresh:
-            if nb not in seen:
-                seen.add(nb)
-                if len(seen) > cap:
-                    raise ClassCapExceeded(
-                        f"congruence class of {format_word(word)!r} exceeds cap {cap}")
-                queue.append(nb)
-    return seen
+    return set(_closure(word, extra, cap))
 
 
 def eq_oracle(w: Word, v: Word, extra: CongruencePairs = NO_EXTRA,
               cap: int = DEFAULT_CAP) -> bool:
     """Decide w = v modulo the Chinese relations and `extra`.
 
-    Congruences here are homogeneous, so words of different lengths are
-    unequal without running the closure.
+    Runs the closure of `congruence_class` from w and returns True once v
+    is generated, so `cap` bounds only the words generated before that; a
+    False verdict closes the whole class.  Congruences here are homogeneous,
+    so words of different lengths are unequal without running the closure.
     """
     if len(w) != len(v):
         return False
     if w == v:
         return True
-    return v in congruence_class(w, extra, cap)
+    return v in _closure(w, extra, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +405,9 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
         the normal forms of  a_i a_j w a_k a_l  and  a_j a_i w a_l a_k
         form the same multiset as those of  a_i a_j w a_l a_k  and
         a_j a_i w a_k a_l.
+    Each word is compared by the invariant `to_staircase` decodes: its letter
+    counts and projections B(x, y), 1 <= x < y <= n.  It fixes the normal
+    form one to one, so no form is decoded.
     Variant 23 appends a_m (i >= j+1 > j >= m > l, k forced to j+1);
     variant 32 prepends a_m (i > m >= j+1 > j >= l, k forced to j+1).
     Each variant is one predicate in `_BOXPLUS`, which `boxplus_tuples`
@@ -428,11 +426,13 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
     extra: Word = () if m is None else (m,)
     prefix, suffix = (extra, ()) if m_first else ((), extra)
 
-    def nf(left: Word, right: Word) -> tuple[tuple[int, ...], ...]:
-        return to_staircase(prefix + left + w + right + suffix, n).k
+    def invariant(left: Word, right: Word) -> tuple[int, ...]:
+        word = prefix + left + w + right + suffix
+        return (*map(word.count, range(1, n + 1)),
+                *(projection_q(word, x, y) for y in range(2, n + 1) for x in range(1, y)))
 
-    positive = sorted([nf((i, j), (k, l)), nf((j, i), (l, k))])
-    return positive == sorted([nf((i, j), (l, k)), nf((j, i), (k, l))])
+    positive = sorted([invariant((i, j), (k, l)), invariant((j, i), (l, k))])
+    return positive == sorted([invariant((i, j), (l, k)), invariant((j, i), (k, l))])
 
 
 def boxplus_tuples(n: int, variant: int) -> Iterator[dict[str, int]]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chinese_monoid import core
 from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
                                  StaircaseForm, WordSyntaxError, boxplus_tuples,
                                  congruence_class, count_classes,
@@ -100,6 +101,74 @@ def test_congruence_class_cap():
 def test_inhomogeneous_extra_pair_rejected():
     with pytest.raises(ValueError):
         congruence_class((1, 2), frozenset({((1,), (1, 2))}))
+
+
+def reference_classes(n, max_len, extra=frozenset()):
+    """Class of every word of length <= max_len, closed by scanning every
+    relation a_j a_i a_k = a_j a_k a_i = a_k a_j a_i (i <= k <= j), listed
+    directly, and every extra pair, both ways, at every position."""
+    rules = set()
+    for i, k, j in itertools.combinations_with_replacement(range(1, n + 1), 3):
+        rules.update(itertools.permutations({(j, i, k), (j, k, i), (k, j, i)}, 2))
+    for u, v in extra:
+        rules.update({(u, v), (v, u)})
+    class_of = {}
+    for word in words_up_to(n, max_len):
+        if word in class_of:
+            continue
+        members, todo = {word}, [word]
+        while todo:
+            w = todo.pop()
+            for u, v in rules:
+                for pos in range(len(w) - len(u) + 1):
+                    if w[pos:pos + len(u)] == u:
+                        nb = w[:pos] + v + w[pos + len(u):]
+                        if nb not in members:
+                            members.add(nb)
+                            todo.append(nb)
+        class_of.update(dict.fromkeys(members, frozenset(members)))
+    return class_of
+
+
+def extra_pair_sets(n):
+    """No extra pairs, then every first-level pair set of rank n."""
+    return [frozenset()] + [first_level_pairs(kind, s, n)
+                            for kind, low, high in (("dot", 2, n - 1), ("arc", 2, n))
+                            for s in range(low, high + 1)]
+
+
+@pytest.mark.parametrize("n,max_len,with_pairs", [
+    (3, 6, False), (4, 5, False), (3, 4, True), (4, 4, True), (5, 4, True)])
+def test_congruence_class_matches_reference_closure(n, max_len, with_pairs):
+    for extra in extra_pair_sets(n) if with_pairs else [frozenset()]:
+        class_of = reference_classes(n, max_len, extra)
+        for word, members in class_of.items():
+            assert congruence_class(word, extra) == members, (n, sorted(extra), word)
+
+
+@pytest.mark.parametrize("n,max_len", [(3, 5), (4, 4)])
+def test_eq_oracle_matches_reference_membership(n, max_len):
+    # Same-letter pairs: the letter counts cannot decide them.
+    for extra in extra_pair_sets(n):
+        class_of = reference_classes(n, max_len, extra)
+        by_letters = {}
+        for word in class_of:
+            by_letters.setdefault(tuple(sorted(word)), []).append(word)
+        for group in by_letters.values():
+            for w, v in itertools.combinations(group, 2):
+                assert eq_oracle(w, v, extra) is (v in class_of[w]), (sorted(extra), w, v)
+
+
+def test_eq_oracle_stops_at_the_target():
+    # (2, 1, 3, 1) has one rewrite neighbour, (2, 3, 1, 1), in a class of 4.
+    w, v, u = (2, 1, 3, 1), (2, 3, 1, 1), (1, 1, 2, 3)
+    assert rewrite_neighbors(w) == {v}
+    assert len(congruence_class(w)) == 4 and u not in congruence_class(w)
+    assert eq_oracle(w, v, cap=2)
+    with pytest.raises(ClassCapExceeded):
+        eq_oracle(w, u, cap=2)
+    with pytest.raises(ClassCapExceeded):
+        congruence_class(w, cap=2)
 
 
 def test_eq_oracle_examples():
@@ -319,3 +388,37 @@ def test_verify_boxplus_admits_exactly_the_enumerated_tuples(variant):
             else:
                 with pytest.raises(IndexConstraintViolated):
                     verify_boxplus(n, variant, (), i=i, j=j, k=k, l=l, m=m)
+
+
+def normal_form_multisets_agree(n, w, i, j, k, l, m=None, m_first=False):
+    extra = () if m is None else (m,)
+    prefix, suffix = (extra, ()) if m_first else ((), extra)
+
+    def nf(left, right):
+        return to_staircase(prefix + left + w + right + suffix, n).k
+
+    return (sorted([nf((i, j), (k, l)), nf((j, i), (l, k))])
+            == sorted([nf((i, j), (l, k)), nf((j, i), (k, l))]))
+
+
+def test_verify_boxplus_matches_normal_form_multisets():
+    for n in (3, 4):
+        words = list(words_up_to(n, 2))
+        for variant in (22, 23, 32):
+            for t in boxplus_tuples(n, variant):
+                k = t.get("k", t["j"] + 1)
+                for w in words:
+                    want = normal_form_multisets_agree(
+                        n, w, t["i"], t["j"], k, t["l"], t.get("m"), variant == 32)
+                    assert verify_boxplus(n, variant, w, **t) is want, (n, variant, t, w)
+
+
+def test_verify_boxplus_reports_inadmissible_tuples_as_false(monkeypatch):
+    monkeypatch.setitem(core._BOXPLUS, 22, (lambda i, j, k, l, m: True, False))
+    failing = set()
+    for i, j, k, l in itertools.product(range(1, 4), repeat=4):
+        want = normal_form_multisets_agree(3, (), i, j, k, l)
+        assert verify_boxplus(3, 22, (), i=i, j=j, k=k, l=l) is want, (i, j, k, l)
+        if not want:
+            failing.add((i, j, k, l))
+    assert len(failing) == 32 and (1, 2, 1, 2) in failing
