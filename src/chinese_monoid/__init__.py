@@ -5,8 +5,7 @@ from .bicyclic import Bicyclic, adjan_check, bmul
 from .core import (DEFAULT_CAP, ClassCapExceeded, IndexConstraintViolated,
                    StaircaseForm, Word, WordSyntaxError, congruence_class,
                    count_classes, eq_oracle, first_level_pairs, format_word,
-                   multiply, parse_word, rewrite_neighbors, to_staircase,
-                   verify_boxplus)
+                   multiply, parse_word, to_staircase, verify_boxplus)
 from .harness import BoundsExceeded, SuiteReport, UnknownSuite, run_suite
 from .representation import (BadLeafPair, LeafRepresentation, NotALeaf,
                              NotAnArcStep, arc_element_image,
@@ -20,8 +19,7 @@ __all__ = [
     "DEFAULT_CAP", "ClassCapExceeded", "IndexConstraintViolated",
     "StaircaseForm", "Word", "WordSyntaxError", "congruence_class",
     "count_classes", "eq_oracle", "first_level_pairs", "format_word",
-    "multiply", "parse_word", "rewrite_neighbors", "to_staircase",
-    "verify_boxplus",
+    "multiply", "parse_word", "to_staircase", "verify_boxplus",
     "BoundsExceeded", "SuiteReport", "UnknownSuite", "run_suite",
     "BadLeafPair", "LeafRepresentation", "NotALeaf", "NotAnArcStep",
     "arc_element_image", "build_representation", "eq_via_embedding", "image",

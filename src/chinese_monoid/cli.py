@@ -27,6 +27,7 @@ USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
 MAX_TREE_RANK = harness.SUITES["counts"][1]["max_n"][2]
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
 MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # the closed form reads n(n-1)/2 projections per letter
+MAX_ORACLE_LETTERS = 64  # per word: the closure may hold DEFAULT_CAP words of this length
 MAX_WITNESS_WORDS = 10 ** 6  # witness scans n ** max_len words of the longest length
 MAX_WITNESS_IMAGES = 10 ** 7  # and each word's image reads about n table entries
 
@@ -67,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("v")
     cmd.add_argument("--method", choices=("oracle", "embedding", "both"),
                      default="both",
-                     help="oracle: breadth-first class; embedding: leaf product "
+                     help=f"oracle: breadth-first class, each word <= "
+                          f"{MAX_ORACLE_LETTERS} letters; embedding: leaf product "
                           "(rank >= 3); both (default): both must agree, except "
                           "below rank 3, where no leaf product exists and the "
                           "oracle alone decides")
@@ -140,6 +142,10 @@ def _cmd_eq(args) -> int:
     v = parse_word(args.v, n)
     if args.method != "oracle":
         _check_projection_letters(n, w, v)
+    if args.method != "embedding" and max(len(w), len(v)) > MAX_ORACLE_LETTERS:
+        raise harness.BoundsExceeded(
+            f"the oracle needs <= {MAX_ORACLE_LETTERS} letters per word, got "
+            f"{max(len(w), len(v))}; use --method embedding (n >= 3)")
     if args.method == "oracle" or (args.method == "both" and n < 3):
         verdict = eq_oracle(w, v)
     elif args.method == "embedding":

@@ -13,10 +13,11 @@ the identity.  Every class contains a unique word matching the triangular
 which serves as the canonical form.  `to_staircase` decodes its exponents
 from the letter counts and the bicyclic projections of the word, in time
 polynomial in n and |w|; `verify_boxplus` compares these invariants.  The
-breadth-first closure of the relations (`congruence_class`, `eq_oracle`,
-one rule table per call) is the correctness oracle the tests and suites
-check everything else against: slow but correct by construction at desk
-scale.  `eq_oracle` stops as soon as it meets its target.
+breadth-first closure of the relations (`congruence_class`, `eq_oracle`)
+is the correctness oracle the tests and suites check everything else
+against: slow but correct by construction at desk scale.  It sorts each
+length-3 factor into i <= k <= j and, if the factor is (j,i,k), (j,k,i) or
+(k,j,i), replaces it by the other two; `eq_oracle` stops at its target.
 """
 
 from __future__ import annotations
@@ -100,45 +101,27 @@ def words_up_to(n: int, max_len: int) -> Iterator[Word]:
 # Rewriting and the breadth-first congruence oracle
 # ---------------------------------------------------------------------------
 
-def _window_rewrites(x: int, y: int, z: int) -> set[tuple[int, int, int]]:
-    # The relation class of i <= k <= j has member words
-    # (j,i,k), (j,k,i), (k,j,i); match the window against each role.
-    out: set[tuple[int, int, int]] = set()
-    if y <= z <= x:  # window is (j,i,k)
-        out.add((x, z, y))
-        out.add((z, x, y))
-    if z <= y <= x:  # window is (j,k,i)
-        out.add((x, z, y))
-        out.add((y, x, z))
-    if z <= x <= y:  # window is (k,j,i)
-        out.add((y, z, x))
-        out.add((y, x, z))
-    out.discard((x, y, z))
-    return out
-
-
-def rewrite_neighbors(word: Word) -> set[Word]:
-    """All words one defining-relation rewrite away from `word` (either
-    direction, any position).  The word itself is excluded."""
-    return {word[:pos] + window + word[pos + 3:] for pos in range(len(word) - 2)
-            for window in _window_rewrites(*word[pos:pos + 3])}
+def _relation_rewrites(factor: Word) -> set[Word]:
+    # A length-3 factor with letters i <= k <= j lies in the relation class
+    # {(j,i,k), (j,k,i), (k,j,i)} or in none; return the class's other members.
+    if len(factor) != 3:
+        return set()
+    i, k, j = sorted(factor)
+    members = {(j, i, k), (j, k, i), (k, j, i)}
+    return members - {factor} if factor in members else set()
 
 
 def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[Word]:
     # Yields each member once, in the order generated; see congruence_class.
     if cap <= 0:
         raise ValueError("cap must be positive")
-
-    def windows(factor: Word) -> set[Word]:
-        return _window_rewrites(*factor) if len(factor) == 3 else set()
-
     table: dict[Word, set[Word]] = {}
     for u, v in extra:
         if len(u) != len(v):
             raise ValueError(f"inhomogeneous congruence pair ({u}, {v})")
         if u != v:
-            table.setdefault(u, windows(u)).add(v)
-            table.setdefault(v, windows(v)).add(u)
+            table.setdefault(u, _relation_rewrites(u)).add(v)
+            table.setdefault(v, _relation_rewrites(v)).add(u)
     sizes = sorted({3, *map(len, table)})
     seen: set[Word] = {word}
     queue: deque[Word] = deque((word,))
@@ -150,7 +133,7 @@ def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[Word]:
                 factor = w[pos:pos + size]
                 replacements = table.get(factor)
                 if replacements is None:
-                    replacements = table[factor] = windows(factor)
+                    replacements = table[factor] = _relation_rewrites(factor)
                 for r in replacements:
                     nb = w[:pos] + r + w[pos + size:]
                     if nb not in seen:
@@ -168,9 +151,9 @@ def congruence_class(word: Word, extra: CongruencePairs = NO_EXTRA,
     `extra` pairs (substituted in both directions at every position).
 
     One rule table per call maps each factor to its replacements: the extra
-    pairs both ways and the relation windows, memoised on first sight.  All
-    members have the length of `word`.  Raises ClassCapExceeded once more
-    than `cap` words have been generated.
+    pairs both ways and the other members of a length-3 factor's relation
+    class, memoised on first sight.  All members have the length of `word`.
+    Raises ClassCapExceeded once more than `cap` words have been generated.
     """
     return set(_closure(word, extra, cap))
 

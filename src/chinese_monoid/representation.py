@@ -20,7 +20,9 @@ along the word, B columns fold bicyclic pairs.  Across the T_n leaves of
 rank n the distinct columns are the n letter counts and the projections
 (x, y) for 1 <= x < y <= n (pinned by
 `test_leaf_table_columns_are_the_projections`), so `eq_via_embedding`
-compares those alone: O(n^2 |w|), with no per-rank set-up.
+compares those alone: O(n^2 |w|), with no per-rank set-up.  A witness
+pairs the least word of a class of one leaf with the first word the other
+leaf separates from it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bicyclic import IDENTITY, P, Q, Bicyclic
-from .core import Word, WordSyntaxError, check_letters, projection_q
+from .core import Word, check_letters, projection_q
 from .tree import Diagram, RankTooSmall, enumerate_leaves
 
 
@@ -142,8 +144,7 @@ def _column_value(kind: str, entries: list) -> int | Bicyclic:
 
 def image(rep: LeafRepresentation, word: Word) -> ImageTuple:
     """Componentwise product of the generator images along the word."""
-    if word and (min(word) < 1 or max(word) > rep.n):
-        raise WordSyntaxError(f"word {word} has a letter outside 1..{rep.n}")
+    check_letters(word, rep.n)
     rows = [rep.images[letter - 1] for letter in word]
     return tuple(_column_value(comp.kind, [row[c] for row in rows])
                  for c, comp in enumerate(rep.schema))
@@ -194,36 +195,26 @@ def incomparability_witness(r1: LeafRepresentation, r2: LeafRepresentation,
                             max_len: int) -> tuple[Word, Word] | None:
     """A pair (w, v) identified by r1 but separated by r2, or None.
 
-    Searches words of length 1..max_len; among admissible pairs of each
-    length the lexicographically least (w, v) is returned, making the output
-    reproducible.
+    Searches words of length 1..max_len; returns the least pair of the
+    shortest length that has one.  Words with equal r1 images form a bucket,
+    and buckets come in the order of their heads (least words).  If r2 splits
+    a bucket, it separates the head from a later word, so the least pair is
+    the first such head with the first word r2 separates from it.
     """
     if r1 == r2:
         raise BadLeafPair("the leaf representations must differ")
     if r1.n != r2.n:
         raise BadLeafPair("the leaf representations must have equal rank")
-    n = r1.n
     for length in range(1, max_len + 1):
         buckets: dict[ImageTuple, list[Word]] = {}
-        for word in itertools.product(range(1, n + 1), repeat=length):
+        for word in itertools.product(range(1, r1.n + 1), repeat=length):
             buckets.setdefault(image(r1, word), []).append(word)
-        best: tuple[Word, Word] | None = None
-        for bucket in buckets.values():
-            if len(bucket) < 2:
-                continue
-            seconds = [image(r2, word) for word in bucket]
-            found = None
-            for a in range(len(bucket)):
-                for b in range(a + 1, len(bucket)):
-                    if seconds[a] != seconds[b]:
-                        found = (bucket[a], bucket[b])
-                        break
-                if found:
-                    break
-            if found and (best is None or found < best):
-                best = found
-        if best is not None:
-            return best
+        for head, *rest in buckets.values():
+            if rest:
+                own = image(r2, head)
+                for v in rest:
+                    if image(r2, v) != own:
+                        return head, v
     return None
 
 

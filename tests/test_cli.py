@@ -166,6 +166,21 @@ def test_the_oracle_is_not_bounded_by_projections(capsys):
     assert run(capsys, "eq", "-n", "1000", word, word, "--method", "oracle")[:2] == (0, "true\n")
 
 
+def test_the_oracle_refuses_long_words_before_any_work(capsys, monkeypatch):
+    import chinese_monoid.cli as cli
+    import chinese_monoid.core as core
+
+    def forbidden(*args):
+        raise AssertionError("ran the closure")
+    monkeypatch.setattr(core, "_closure", forbidden)
+    word = " ".join(["2", "1"] * (cli.MAX_ORACLE_LETTERS // 2) + ["1"])  # one letter over
+    for n, method in (("3", "oracle"), ("3", "both"), ("2", "both")):
+        code, out, err = run(capsys, "eq", "-n", n, word, word[::-1], "--method", method)
+        assert code == 2 and out == ""
+        assert f"<= {cli.MAX_ORACLE_LETTERS} letters per word" in err
+        assert "--method embedding" in err
+
+
 # sha256 of the concatenated stdout of each group.  This output is byte-stable:
 # a change to the tree code or the leaf tables must leave it as it is.
 GOLDEN = {
@@ -180,6 +195,10 @@ GOLDEN = {
                          "f2ac3a82324c1ce5488a0b51d84cf6b29d661077c69f12ca0a5131ad1ea1c361"),
     "verify all --seed 0": ([("verify", "all", "--seed", "0")],
                             "0225a873c04bd88cfa614e394d16f5ade898229c3023727206e6ac124bef253d"),
+    "witness": ([("witness", "-n", str(n), "--leaf1", a.id, "--leaf2", b.id, "--max-len", str(m))
+                 for n, m in ((4, 6), (5, 5))
+                 for a in enumerate_leaves(n) for b in enumerate_leaves(n) if a != b],
+                "6228c6573b08b427d9da8115c7e89f385359bee3206b2380bed6797d51bc0cb5"),
 }
 
 

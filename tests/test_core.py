@@ -11,8 +11,8 @@ from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
                                  congruence_class, count_classes,
                                  decode_staircase, eq_oracle,
                                  first_level_pairs, format_word, multiply,
-                                 parse_word, rewrite_neighbors, to_staircase,
-                                 verify_boxplus, words_up_to)
+                                 parse_word, to_staircase, verify_boxplus,
+                                 words_up_to)
 from chinese_monoid.representation import eq_via_embedding
 
 words3 = st.lists(st.integers(1, 3), max_size=4).map(tuple)
@@ -72,18 +72,6 @@ def test_parse_word_roundtrip(case):
 
 # --- rewriting -------------------------------------------------------------
 
-def test_rewrite_neighbors_examples():
-    assert rewrite_neighbors((3, 1, 2)) == {(3, 2, 1), (2, 3, 1)}
-    assert rewrite_neighbors(()) == set()
-    assert rewrite_neighbors((1, 1, 1)) == set()
-
-
-def test_rewrite_neighbors_is_symmetric():
-    for word in itertools.product(range(1, 4), repeat=4):
-        for other in rewrite_neighbors(word):
-            assert word in rewrite_neighbors(other)
-
-
 def test_congruence_class_examples():
     assert congruence_class((3, 2, 1)) == {(3, 2, 1), (3, 1, 2), (2, 3, 1)}
     assert congruence_class((1,)) == {(1,)}
@@ -103,29 +91,35 @@ def test_inhomogeneous_extra_pair_rejected():
         congruence_class((1, 2), frozenset({((1,), (1, 2))}))
 
 
-def reference_classes(n, max_len, extra=frozenset()):
-    """Class of every word of length <= max_len, closed by scanning every
-    relation a_j a_i a_k = a_j a_k a_i = a_k a_j a_i (i <= k <= j), listed
-    directly, and every extra pair, both ways, at every position."""
+def reference_rules(n, extra=frozenset()):
+    """Every relation a_j a_i a_k = a_j a_k a_i = a_k a_j a_i (i <= k <= j),
+    listed directly, and every extra pair, as rules (u, v) both ways."""
     rules = set()
     for i, k, j in itertools.combinations_with_replacement(range(1, n + 1), 3):
         rules.update(itertools.permutations({(j, i, k), (j, k, i), (k, j, i)}, 2))
     for u, v in extra:
         rules.update({(u, v), (v, u)})
+    return rules
+
+
+def reference_neighbours(word, rules):
+    """Every word one rule away from `word`, scanning every position."""
+    return {word[:pos] + v + word[pos + len(u):] for u, v in rules
+            for pos in range(len(word) - len(u) + 1) if word[pos:pos + len(u)] == u}
+
+
+def reference_classes(n, max_len, extra=frozenset()):
+    """Class of every word of length <= max_len, closed by `reference_rules`."""
+    rules = reference_rules(n, extra)
     class_of = {}
     for word in words_up_to(n, max_len):
         if word in class_of:
             continue
         members, todo = {word}, [word]
         while todo:
-            w = todo.pop()
-            for u, v in rules:
-                for pos in range(len(w) - len(u) + 1):
-                    if w[pos:pos + len(u)] == u:
-                        nb = w[:pos] + v + w[pos + len(u):]
-                        if nb not in members:
-                            members.add(nb)
-                            todo.append(nb)
+            for nb in reference_neighbours(todo.pop(), rules) - members:
+                members.add(nb)
+                todo.append(nb)
         class_of.update(dict.fromkeys(members, frozenset(members)))
     return class_of
 
@@ -162,7 +156,7 @@ def test_eq_oracle_matches_reference_membership(n, max_len):
 def test_eq_oracle_stops_at_the_target():
     # (2, 1, 3, 1) has one rewrite neighbour, (2, 3, 1, 1), in a class of 4.
     w, v, u = (2, 1, 3, 1), (2, 3, 1, 1), (1, 1, 2, 3)
-    assert rewrite_neighbors(w) == {v}
+    assert reference_neighbours(w, reference_rules(3)) == {v}
     assert len(congruence_class(w)) == 4 and u not in congruence_class(w)
     assert eq_oracle(w, v, cap=2)
     with pytest.raises(ClassCapExceeded):
