@@ -23,15 +23,8 @@ class Bicyclic:
     def __mul__(self, other: "Bicyclic") -> "Bicyclic":
         return bmul(self, other)
 
-    def __str__(self) -> str:
-        return f"p^{self.i} q^{self.j}"
-
     def as_dict(self) -> dict:
         return {"p": self.i, "q": self.j}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Bicyclic":
-        return cls(int(data["p"]), int(data["q"]))
 
 
 IDENTITY = Bicyclic(0, 0)

@@ -11,15 +11,14 @@ import json
 import sys
 
 from . import harness, representation as rep_mod, tree
-from .core import (ClassCapExceeded, IndexConstraintViolated, WordSyntaxError,
-                   eq_oracle, format_word, multiply, parse_word, to_staircase)
+from .core import (ClassCapExceeded, WordSyntaxError, eq_oracle, format_word,
+                   multiply, parse_word, to_staircase)
 from .representation import (build_representation, eq_via_embedding, image,
                              image_str, incomparability_witness,
                              leaf_representations, representation_json)
 from .tree import Diagram, MalformedDiagram, RankTooSmall, parse_id, render
 
-USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
-                IndexConstraintViolated, ClassCapExceeded,
+USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall, ClassCapExceeded,
                 harness.BoundsExceeded, harness.UnknownSuite,
                 rep_mod.NotALeaf, rep_mod.BadLeafPair)
 
@@ -69,10 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--method", choices=("oracle", "embedding", "both"),
                      default="both",
                      help=f"oracle: breadth-first class, each word <= "
-                          f"{MAX_ORACLE_LETTERS} letters; embedding: leaf product "
-                          "(rank >= 3); both (default): both must agree, except "
-                          "below rank 3, where no leaf product exists and the "
-                          "oracle alone decides")
+                          f"{MAX_ORACLE_LETTERS} letters; embedding: leaf product; "
+                          "both (default): both must agree")
 
     cmd = add("tree", f"the diagram tree (n <= {MAX_TREE_RANK})", MAX_TREE_RANK)
     group = cmd.add_mutually_exclusive_group()
@@ -145,8 +142,8 @@ def _cmd_eq(args) -> int:
     if args.method != "embedding" and max(len(w), len(v)) > MAX_ORACLE_LETTERS:
         raise harness.BoundsExceeded(
             f"the oracle needs <= {MAX_ORACLE_LETTERS} letters per word, got "
-            f"{max(len(w), len(v))}; use --method embedding (n >= 3)")
-    if args.method == "oracle" or (args.method == "both" and n < 3):
+            f"{max(len(w), len(v))}; use --method embedding")
+    if args.method == "oracle":
         verdict = eq_oracle(w, v)
     elif args.method == "embedding":
         verdict = eq_via_embedding(n, w, v)

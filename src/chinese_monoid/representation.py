@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .bicyclic import IDENTITY, P, Q, Bicyclic
 from .core import Word, check_letters, projection_q
-from .tree import Diagram, RankTooSmall, enumerate_leaves
+from .tree import Diagram, enumerate_leaves
 
 
 class NotALeaf(Exception):
@@ -161,9 +161,9 @@ def eq_via_embedding(n: int, w: Word, v: Word) -> bool:
     Only the distinct table columns are compared, stopping at the first that
     separates w and v: the letter counts, then each bicyclic projection
     (x, y) by its q-exponent, which with equal counts fixes the p-exponent.
+    This decides equality at every rank, below 3 too, where no leaf exists:
+    `core.to_staircase` decodes the normal form from the same numbers.
     """
-    if n < 3:
-        raise RankTooSmall(f"rank must be >= 3, got {n}")
     check_letters(w + v, n)
     if sorted(w) != sorted(v):
         return False

@@ -12,8 +12,8 @@ extreme arc are the leaves.
 
 One step function, `_step`, holds these rules: it checks a single step
 against a vertex's state and returns the child's state.  `Diagram` applies it
-to every step it is given, `children` keeps the candidate steps it accepts,
-and `steps_from_marks` decodes a drawing by a search down the tree.
+to every step it is given, and `children` keeps the candidate steps it
+accepts.
 
 Vertices are written as ids like "d2 A L": initial token d<s> or a<s>, then
 A (arc above), L (dot left), R (dot right).
@@ -213,26 +213,6 @@ def enumerate_leaves(n: int) -> list[Diagram]:
     return [d for d, _, _ in preorder(Diagram(n)) if d.is_leaf]
 
 
-def steps_from_marks(n: int, dots: set[int], arcs: list[tuple[int, int]]) -> tuple[Step, ...]:
-    """Reconstruct the step order of a drawn diagram.
-
-    `dots` are the dotted generators and `arcs` the joined pairs.  The search
-    goes down the tree from the root, following only the children whose
-    newest mark is drawn; no two vertices carry the same marks, so at most one
-    is found.  Raises MalformedDiagram if no vertex carries exactly these marks.
-    The drawing of a vertex costs at most 1.6 visits per mark up to n = 12,
-    but a drawing that holds nearly every mark walks nearly the whole tree.
-    """
-    drawn = {("dot", s) for s in dots} | {("arc", x, y) for x, y in arcs}
-    stack = [Diagram(n)]
-    while stack:
-        d = stack.pop()
-        if len(d.marks) == len(dots) + len(arcs):
-            return d.steps
-        stack.extend(kid for kid in children(d) if kid.marks[-1] in drawn)
-    raise MalformedDiagram("marks do not form a constructible diagram")
-
-
 # --- rendering -------------------------------------------------------------
 
 _USED = "●"    # filled circle
@@ -259,28 +239,6 @@ def render_ascii(d: Diagram) -> str:
     lines.append(" ".join(_USED if g in used else _UNUSED for g in range(1, n + 1)))
     lines.append(" ".join(str(g % 10) for g in range(1, n + 1)))
     return "\n".join(lines)
-
-
-def parse_ascii(text: str) -> tuple[int, set[int], list[tuple[int, int]]]:
-    """Read back (n, dots, arcs) from a render_ascii drawing."""
-    lines = text.split("\n")
-    if len(lines) < 2:
-        raise MalformedDiagram("drawing too short")
-    gen_row = lines[-2]
-    symbols = gen_row.split(" ")
-    if any(sym not in (_USED, _UNUSED) for sym in symbols):
-        raise MalformedDiagram("bad generator row")
-    n = len(symbols)
-    used = {g for g, sym in enumerate(symbols, start=1) if sym == _USED}
-    arcs: list[tuple[int, int]] = []
-    for line in lines[:-2]:
-        left = line.find(_ARC_L)
-        right = line.find(_ARC_R)
-        if left < 0 or right < 0 or left % 2 or right % 2:
-            raise MalformedDiagram(f"bad arc row {line!r}")
-        arcs.append((left // 2 + 1, right // 2 + 1))
-    dots = used - {g for x, y in arcs for g in (x, y)}
-    return n, dots, arcs
 
 
 def render_dot(d: Diagram) -> str:

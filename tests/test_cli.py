@@ -41,13 +41,22 @@ def test_eq_both_methods(capsys):
     assert code == 0 and out.strip() == "true"
 
 
-def test_eq_below_rank_3_uses_the_oracle(capsys):
+def test_eq_below_rank_3_runs_every_method(capsys):
+    # No leaf exists below rank 3, but the letter counts and projections
+    # still decide equality there, so both methods run and must agree.
     code, out, _ = run(capsys, "eq", "-n", "1", "1", "1")
     assert code == 0 and out.strip() == "true"
     code, out, _ = run(capsys, "eq", "-n", "2", "2 1 1", "1 2 1")
     assert code == 0 and out.strip() == "true"
     code, out, _ = run(capsys, "eq", "-n", "2", "1 2", "2 1", "--method", "both")
     assert code == 0 and out.strip() == "false"
+    # Over the oracle's bound, the projections alone answer.
+    word = " ".join(["2", "1"] * 33)
+    code, out, _ = run(capsys, "eq", "-n", "2", word, word[::-1], "--method", "embedding")
+    assert code == 0 and out.strip() == "false"
+    relation = "2 2 1 " + word[6:]  # the first factor 2 1 2 rewritten to 2 2 1
+    code, out, _ = run(capsys, "eq", "-n", "2", word, relation, "--method", "embedding")
+    assert code == 0 and out.strip() == "true"
 
 
 def test_normalize_and_mul(capsys):
@@ -126,8 +135,6 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a3",
                          "--max-len", "-1")
     assert code == 2 and "max-len" in err and out == ""
-    code, _, err = run(capsys, "eq", "-n", "2", "1", "1", "--method", "embedding")
-    assert code == 2 and "rank must be >= 3" in err
     code, out, err = run(capsys, "tree", "-n", "17")
     assert code == 2 and "n <= 16" in err and out == ""
     code, out, err = run(capsys, "leaves", "-n", "17")
@@ -174,7 +181,7 @@ def test_the_oracle_refuses_long_words_before_any_work(capsys, monkeypatch):
         raise AssertionError("ran the closure")
     monkeypatch.setattr(core, "_closure", forbidden)
     word = " ".join(["2", "1"] * (cli.MAX_ORACLE_LETTERS // 2) + ["1"])  # one letter over
-    for n, method in (("3", "oracle"), ("3", "both"), ("2", "both")):
+    for n, method in (("3", "oracle"), ("3", "both"), ("2", "oracle"), ("2", "both")):
         code, out, err = run(capsys, "eq", "-n", n, word, word[::-1], "--method", method)
         assert code == 2 and out == ""
         assert f"<= {cli.MAX_ORACLE_LETTERS} letters per word" in err
@@ -195,6 +202,9 @@ GOLDEN = {
                          "f2ac3a82324c1ce5488a0b51d84cf6b29d661077c69f12ca0a5131ad1ea1c361"),
     "verify all --seed 0": ([("verify", "all", "--seed", "0")],
                             "0225a873c04bd88cfa614e394d16f5ade898229c3023727206e6ac124bef253d"),
+    "repr": ([("repr", "-n", str(n), "--leaf", leaf.id)
+              for n in range(3, 8) for leaf in enumerate_leaves(n)],
+             "06745c72bb4b23fa7120e2ebb5463a1f204b0b25ea592372c7d050ba17ae5609"),
     "witness": ([("witness", "-n", str(n), "--leaf1", a.id, "--leaf2", b.id, "--max-len", str(m))
                  for n, m in ((4, 6), (5, 5))
                  for a in enumerate_leaves(n) for b in enumerate_leaves(n) if a != b],
@@ -258,3 +268,14 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "to_staircase", broken)
     with pytest.raises(ValueError):
         main(["normalize", "-n", "3", "3 2 1"])
+
+
+def test_internal_index_error_is_not_a_usage_error(monkeypatch):
+    # The suites generate every index themselves: only a bug can raise here.
+    import chinese_monoid.core as core
+
+    def broken(*args, **kwargs):
+        raise core.IndexConstraintViolated("index 0 outside 1..3")
+    monkeypatch.setattr(harness, "verify_boxplus", broken)
+    with pytest.raises(core.IndexConstraintViolated):
+        main(["verify", "boxplus", "--max-n", "3", "--max-word-len", "0"])

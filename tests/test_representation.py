@@ -112,7 +112,7 @@ def test_embedding_agrees_with_oracle_small():
         assert eq_via_embedding(3, w, v) == eq_oracle(w, v)
 
 
-@pytest.mark.parametrize("n,length", [(3, 6), (4, 5)])
+@pytest.mark.parametrize("n,length", [(2, 9), (3, 6), (4, 5)])
 def test_embedding_agrees_with_oracle_on_same_letter_pairs(n, length):
     # Every pair of words with the same letters: there the letter counts
     # cannot decide, so each projection (x, y) has to do its share.

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chinese_monoid.tree import (Diagram, MalformedDiagram, RankTooSmall,
-                                 children, enumerate_leaves, parse_ascii,
-                                 parse_id, preorder, render, render_ascii,
-                                 steps_from_marks, tribonacci, u_sequence)
+                                 children, enumerate_leaves, parse_id,
+                                 preorder, render, render_ascii, tribonacci,
+                                 u_sequence)
 
 
 # --- integer sequences -----------------------------------------------------
@@ -146,15 +146,12 @@ def test_parsed_leaves_are_tree_leaves():
 
 
 def test_marks_name_the_vertices_one_to_one():
-    # Distinct vertices carry distinct mark sets, which makes the search in
-    # `steps_from_marks` well defined; it recovers every vertex from its drawing.
+    # Distinct vertices carry distinct mark sets and distinct drawings, so a
+    # drawing names exactly one vertex of the tree.
     for n in range(3, 10):
         all_vertices = vertices(n)
         assert len({frozenset(d.marks) for d in all_vertices}) == len(all_vertices)
-        for d in all_vertices:
-            got_n, dots, arcs = parse_ascii(render_ascii(d))
-            assert got_n == n
-            assert steps_from_marks(n, dots, arcs) == d.steps, d.id
+        assert len({render_ascii(d) for d in all_vertices}) == len(all_vertices)
 
 
 def test_preorder_yields_depths_and_children():
@@ -181,25 +178,6 @@ def test_render_ascii_arc_over_dot():
     ]
 
 
-def test_render_roundtrip_through_drawing():
-    for n in range(3, 7):
-        for leaf in enumerate_leaves(n):
-            got_n, dots, arcs = parse_ascii(render_ascii(leaf))
-            assert got_n == n
-            assert steps_from_marks(got_n, dots, arcs) == leaf.steps
-
-
-def test_steps_from_marks_rejects_impossible_marks():
-    with pytest.raises(MalformedDiagram):
-        steps_from_marks(4, {2, 3}, [])          # several dots, no arc
-    with pytest.raises(MalformedDiagram):
-        steps_from_marks(5, set(), [(1, 3), (2, 5)])  # arcs cross
-    with pytest.raises(MalformedDiagram):
-        steps_from_marks(5, {2, 4}, [(1, 5), (2, 4)])  # arc endpoints dotted
-    with pytest.raises(MalformedDiagram):
-        steps_from_marks(3, set(), [(1, 2), (1, 2)])  # one arc drawn twice
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.text(), st.integers(-1, 9))
 @example("d²", 4)             # a digit int() does not read
@@ -211,53 +189,6 @@ def test_parse_id_raises_only_diagram_errors(text, n):
     except (MalformedDiagram, RankTooSmall):
         return
     assert parse_id(d.id, n) == d
-
-
-drawing_text = st.text(alphabet="●○╭╮─ \n0123456789x") | st.text()
-
-
-@settings(max_examples=300, deadline=None)
-@given(drawing_text)
-def test_parse_ascii_raises_only_malformed_diagram(text):
-    try:
-        n, dots, arcs = parse_ascii(text)
-    except MalformedDiagram:
-        return
-    assert n >= 1 and dots <= set(range(1, n + 1))
-
-
-VERTICES = {n: vertices(n) for n in range(3, 8)}
-MARK_SETS = {n: {frozenset(d.marks): d.steps for d in vs} for n, vs in VERTICES.items()}
-
-
-@st.composite
-def drawings(draw):
-    """A vertex's drawing with a few marks added or taken away."""
-    n = draw(st.integers(3, 7))
-    d = draw(st.sampled_from(VERTICES[n]))
-    gens = st.integers(0, n + 1)
-    dots = set(d.dots) ^ draw(st.sets(gens, max_size=2))
-    arcs = list(draw(st.permutations(d.arcs)))
-    del arcs[:draw(st.integers(0, 1))]
-    extra = st.tuples(gens, gens)
-    if d.arcs:
-        extra |= st.sampled_from(d.arcs)  # an arc drawn twice
-    arcs += draw(st.lists(extra, max_size=2))
-    return n, dots, arcs
-
-
-@settings(max_examples=300, deadline=None)
-@given(drawings())
-def test_steps_from_marks_decodes_exactly_the_vertex_drawings(drawing):
-    n, dots, arcs = drawing
-    marks = {("dot", s) for s in dots} | {("arc", x, y) for x, y in arcs}
-    expected = MARK_SETS[n].get(frozenset(marks)) if len(marks) == len(dots) + len(arcs) else None
-    if expected is None:
-        with pytest.raises(MalformedDiagram):
-            steps_from_marks(n, dots, arcs)
-    else:
-        assert steps_from_marks(n, dots, arcs) == expected
-        assert set(Diagram(n, expected).marks) == marks
 
 
 def test_render_dot_of_root():
