@@ -15,7 +15,7 @@ from .core import (ClassCapExceeded, WordSyntaxError, eq_oracle, format_word,
                    multiply, parse_word, to_staircase)
 from .representation import (build_representation, eq_via_embedding, image,
                              image_str, incomparability_witness,
-                             leaf_representations, representation_json)
+                             representation_json)
 from .tree import Diagram, MalformedDiagram, RankTooSmall, parse_id, render
 
 USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall, ClassCapExceeded,
@@ -171,22 +171,23 @@ def _cmd_tree(args) -> int:
 
 def _cmd_leaves(args) -> int:
     n = args.rank
-    reps = leaf_representations(n)
+    # no table: d is the arcs, and c, the dots and the unused generators, is n - 2d
+    counts = [(leaf, n - 2 * len(leaf.arcs), len(leaf.arcs)) for leaf in tree.enumerate_leaves(n)]
     if args.json:
         payload = {
             "format": 1,
             "n": n,
             "leaves": [
-                {"id": rep.leaf.id, "steps": [list(s) if isinstance(s, tuple) else s
-                                              for s in rep.leaf.steps],
-                 "c": rep.c, "d": rep.d}
-                for rep in reps
+                {"id": leaf.id, "steps": [list(s) if isinstance(s, tuple) else s
+                                          for s in leaf.steps],
+                 "c": c, "d": d}
+                for leaf, c, d in counts
             ],
         }
         print(json.dumps(payload))
     else:
-        for rep in reps:
-            print(f"{rep.leaf.id}\tc={rep.c}\td={rep.d}")
+        for leaf, c, d in counts:
+            print(f"{leaf.id}\tc={c}\td={d}")
     return 0
 
 

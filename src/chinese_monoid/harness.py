@@ -88,11 +88,10 @@ def _corrupt_one(reps, rng: random.Random):
     rep = reps[idx]
     x, y = rep.leaf.arcs[0]
     comp_idx = rep.schema.index(rep_mod.Component("B", ("arc", x, y)))
-    images = list(rep.images)
-    bad = list(images[x - 1])
-    bad[comp_idx] = Bicyclic(2, 0)
-    images[x - 1] = tuple(bad)
-    reps[idx] = rep_mod.LeafRepresentation(rep.leaf, rep.schema, tuple(images))
+    bad = list(rep.columns[comp_idx])  # a copy: the leaves of a rank share the column
+    bad[x - 1] = Bicyclic(2, 0)
+    columns = rep.columns[:comp_idx] + (tuple(bad),) + rep.columns[comp_idx + 1:]
+    reps[idx] = rep_mod.LeafRepresentation(rep.leaf, rep.schema, columns)
     return tuple(reps), rep.leaf.id
 
 

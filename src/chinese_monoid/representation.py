@@ -13,20 +13,22 @@ generator-image table, one column per component:
   * each generator no mark uses: a trailing natural unit column (it
     generates a free commutative factor).
 
-The product of the images over all leaves decides word equality exactly,
-which is the fast counterpart of the breadth-first oracle in `core`.  Each
-component of an image depends only on its column: N and Z columns add ints
-along the word, B columns fold bicyclic pairs.  Across the T_n leaves of
-rank n the distinct columns are the n letter counts and the projections
-(x, y) for 1 <= x < y <= n (pinned by
-`test_leaf_table_columns_are_the_projections`), so `eq_via_embedding`
-compares those alone: O(n^2 |w|), with no per-rank set-up.  A witness
-pairs the least word of a class of one leaf with the first word the other
-leaf separates from it.
+A table is stored by its columns (`images` is a row view), and each mark's
+components and columns come from a memo bounded by one tree rank's marks, so
+the T_n leaves of rank n share them.  Their distinct columns are the n letter
+counts and the projections (x, y) for 1 <= x < y <= n (pinned by
+`test_leaf_table_columns_are_the_projections`).  The product of the images
+over all leaves decides word equality exactly, and each component depends
+only on its column: N and Z columns add ints along the word, B columns fold
+bicyclic pairs.  So `eq_via_embedding`, the fast counterpart of the
+breadth-first oracle in `core`, compares those columns alone: O(n^2 |w|),
+with no per-rank set-up.  A witness pairs the least word of a class of one
+leaf with the first word the other leaf separates from it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,7 +65,7 @@ ImageTuple = tuple  # entries: int for N/Z components, Bicyclic for B
 class LeafRepresentation:
     leaf: Diagram
     schema: tuple[Component, ...]
-    images: tuple[ImageTuple, ...]  # index g-1 holds the image of generator g
+    columns: tuple[tuple, ...]  # one per component; entry g-1 is generator g's
 
     @property
     def n(self) -> int:
@@ -79,8 +81,13 @@ class LeafRepresentation:
         """Number of (bicyclic, integer) component pairs."""
         return sum(1 for comp in self.schema if comp.kind == "B")
 
+    @property
+    def images(self) -> tuple[ImageTuple, ...]:
+        """The table by rows, a view: index g-1 holds the image of generator g."""
+        return tuple(zip(*self.columns))
+
     def image_of(self, g: int) -> ImageTuple:
-        return self.images[g - 1]
+        return tuple(column[g - 1] for column in self.columns)
 
 
 def identity_tuple(schema: tuple[Component, ...]) -> ImageTuple:
@@ -95,32 +102,34 @@ def tuple_mul(schema: tuple[Component, ...], a: ImageTuple, b: ImageTuple) -> Im
     )
 
 
-def _unit_column(n: int, g: int) -> tuple[int, ...]:
-    return (0,) * (g - 1) + (1,) + (0,) * (n - g)
+# 256: room for every mark of one tree rank (150 at n = 16), so all its leaves
+# share their tables; a run over many ranks, or a leaf of rank 1000, keeps no more.
+@functools.lru_cache(maxsize=256)
+def _mark_table(n: int, mark: tuple) -> tuple[tuple[Component, ...], tuple[tuple, ...]]:
+    """The components of a mark, ("dot", s), ("arc", x, y) or ("free", g), and
+    their columns.  Every unit column at g is the free generator g's."""
+    if mark[0] == "free":
+        g = mark[1]
+        return (Component("N", mark),), ((0,) * (g - 1) + (1,) + (0,) * (n - g),)
+    unit = _mark_table(n, ("free", mark[1]))[1]
+    if mark[0] == "dot":
+        return (Component("N", mark),), unit
+    _, x, y = mark
+    return ((Component("B", mark), Component("Z", mark)),
+            ((P,) * x + (IDENTITY,) * (y - x - 1) + (Q,) * (n + 1 - y),) + unit)
 
 
 def build_representation(leaf: Diagram) -> LeafRepresentation:
     """Generator-image table of the leaf's quotient, per the module rules."""
     if not leaf.is_leaf:
         raise NotALeaf(f"{leaf.id!r} is not a leaf")
-    n = leaf.n
-    schema: list[Component] = []
-    columns: list[tuple] = []
-    for mark in leaf.marks:
-        if mark[0] == "dot":
-            schema.append(Component("N", mark))
-            columns.append(_unit_column(n, mark[1]))
-        else:
-            _, x, y = mark
-            schema += [Component("B", mark), Component("Z", mark)]
-            columns += [(P,) * x + (IDENTITY,) * (y - x - 1) + (Q,) * (n + 1 - y),
-                        _unit_column(n, x)]
     used = {g for mark in leaf.marks for g in mark[1:]}
-    for g in range(1, n + 1):
-        if g not in used:
-            schema.append(Component("N", ("free", g)))
-            columns.append(_unit_column(n, g))
-    return LeafRepresentation(leaf=leaf, schema=tuple(schema), images=tuple(zip(*columns)))
+    schema, columns = (), ()
+    for mark in leaf.marks + tuple(("free", g) for g in range(1, leaf.n + 1) if g not in used):
+        mark_schema, mark_columns = _mark_table(leaf.n, mark)
+        schema += mark_schema
+        columns += mark_columns
+    return LeafRepresentation(leaf, schema, columns)
 
 
 def _column_value(kind: str, entries: list) -> int | Bicyclic:
@@ -145,9 +154,9 @@ def _column_value(kind: str, entries: list) -> int | Bicyclic:
 def image(rep: LeafRepresentation, word: Word) -> ImageTuple:
     """Componentwise product of the generator images along the word."""
     check_letters(word, rep.n)
-    rows = [rep.images[letter - 1] for letter in word]
-    return tuple(_column_value(comp.kind, [row[c] for row in rows])
-                 for c, comp in enumerate(rep.schema))
+    at = [letter - 1 for letter in word]
+    return tuple(_column_value(comp.kind, [column[i] for i in at])
+                 for comp, column in zip(rep.schema, rep.columns))
 
 
 def leaf_representations(n: int) -> tuple[LeafRepresentation, ...]:

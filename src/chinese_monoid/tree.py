@@ -183,11 +183,11 @@ def parse_id(text: str, n: int) -> Diagram:
 def children(d: Diagram) -> list[Diagram]:
     """Child vertices in the fixed order: initial dots then initial arcs for
     the root; arc above, dot left, dot right elsewhere.  A candidate step is
-    a child exactly when `_step` accepts it."""
-    if d.is_root:
-        candidates = [(kind, s) for kind in "da" for s in range(1, d.n + 1)]
-    else:
-        candidates = ["A", "L", "R"]
+    a child exactly when `_step` accepts it, and `_step` accepts none at a leaf."""
+    if d.is_leaf:
+        return []
+    candidates = ([(kind, s) for kind in "da" for s in range(1, d.n + 1)] if d.is_root
+                  else ["A", "L", "R"])
     kids = []
     for step in candidates:
         try:

@@ -236,15 +236,13 @@ def test_every_verify_flag_states_and_enforces_its_range(capsys):
 
 
 def test_leaf_lookups_enumerate_no_leaves(capsys, monkeypatch):
-    import chinese_monoid.cli as cli
     import chinese_monoid.representation as representation
     import chinese_monoid.tree as tree
 
     def forbidden(*args):
         raise AssertionError("enumerated the leaves")
     for module, name in ((tree, "enumerate_leaves"), (representation, "enumerate_leaves"),
-                         (representation, "leaf_representations"),
-                         (cli, "leaf_representations")):
+                         (representation, "leaf_representations")):
         monkeypatch.setattr(module, name, forbidden)
     assert representation.eq_via_embedding(16, (16, 1, 2), (2, 16, 1))
     assert run(capsys, "repr", "-n", "16", "--leaf", "a2")[0] == 0

@@ -1,8 +1,10 @@
 import pytest
 
 from chinese_monoid import harness
+from chinese_monoid.bicyclic import IDENTITY, P, Q
 from chinese_monoid.harness import (DEFAULT_BATTERY, SUITE_NAMES,
                                     BoundsExceeded, UnknownSuite, run_suite)
+from chinese_monoid.representation import leaf_representations
 
 
 def test_suite_names_are_complete():
@@ -103,6 +105,18 @@ def test_failure_injection_breaks_faithfulness():
         report = run_suite("faithfulness", n=3, max_len=3, corrupt=True, seed=seed)
         assert not report.passed
         assert "corrupted_leaf" in report.params
+
+
+def test_corruption_never_reaches_the_shared_columns():
+    # The leaves of a rank share their columns; --corrupt must tamper with a
+    # copy, so later runs in the same process see the true tables.
+    for seed in range(4):
+        assert not run_suite("faithfulness", n=4, max_len=3, corrupt=True, seed=seed).passed
+    assert run_suite("faithfulness", n=4, max_len=3).passed
+    for rep in leaf_representations(4):
+        for comp, column in zip(rep.schema, rep.columns):
+            allowed = (P, IDENTITY, Q) if comp.kind == "B" else (0, 1)
+            assert set(column) <= set(allowed), (rep.leaf.id, comp)
 
 
 def test_reports_are_deterministic():

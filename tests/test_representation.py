@@ -9,8 +9,9 @@ from chinese_monoid.bicyclic import IDENTITY, P, Q, Bicyclic
 from chinese_monoid.core import (StaircaseForm, WordSyntaxError,
                                  congruence_class, eq_oracle, to_staircase,
                                  words_up_to)
+from chinese_monoid.cli import MAX_TREE_RANK
 from chinese_monoid.representation import (Component, LeafRepresentation,
-                                           NotALeaf, NotAnArcStep,
+                                           NotALeaf, NotAnArcStep, _mark_table,
                                            arc_element_image, arc_unit_tuple,
                                            build_representation,
                                            eq_via_embedding, identity_tuple,
@@ -174,9 +175,9 @@ def test_image_matches_reference_fold_on_arbitrary_entries(case, data):
     rep, word = case
     entry = {"B": st.builds(Bicyclic, st.integers(0, 3), st.integers(0, 3)),
              "N": st.integers(0, 3), "Z": st.integers(0, 3)}
-    images = tuple(tuple(data.draw(entry[comp.kind]) for comp in rep.schema)
-                   for _ in range(rep.n))
-    tampered = LeafRepresentation(rep.leaf, rep.schema, images)
+    columns = tuple(tuple(data.draw(entry[comp.kind]) for _ in range(rep.n))
+                    for comp in rep.schema)
+    tampered = LeafRepresentation(rep.leaf, rep.schema, columns)
     assert image(tampered, word) == reference_image(tampered, word)
 
 
@@ -228,13 +229,28 @@ def test_leaf_table_columns_are_the_projections():
     for n in range(3, 13):
         columns = {("B" if comp.kind == "B" else "N", column)
                    for rep in leaf_representations(n)
-                   for comp, column in zip(rep.schema, zip(*rep.images))}
+                   for comp, column in zip(rep.schema, rep.columns)}
         units = {("N", tuple(int(g == h) for g in range(1, n + 1)))
                  for h in range(1, n + 1)}
         projections = {("B", tuple(P if g <= x else Q if g >= y else IDENTITY
                                    for g in range(1, n + 1)))
                        for y in range(2, n + 1) for x in range(1, y)}
         assert columns == units | projections
+
+
+def test_the_leaves_of_a_rank_share_each_column():
+    # Every leaf of rank n holds the one object of each distinct column, so
+    # building a table per leaf fails here.
+    shared = {}
+    for rep in leaf_representations(10):
+        for column in rep.columns:
+            assert shared.setdefault(column, column) is column
+    assert len(shared) == 10 + 45
+
+
+def test_the_mark_memo_is_bounded_and_holds_the_largest_tree_rank():
+    marks = {comp.origin for rep in leaf_representations(MAX_TREE_RANK) for comp in rep.schema}
+    assert len(marks) == 150 <= _mark_table.cache_info().maxsize
 
 
 # --- arc elements ------------------------------------------------------------
