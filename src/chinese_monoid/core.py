@@ -22,6 +22,7 @@ length-3 factor into i <= k <= j and, if the factor is (j,i,k), (j,k,i) or
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -101,27 +102,28 @@ def words_up_to(n: int, max_len: int) -> Iterator[Word]:
 # Rewriting and the breadth-first congruence oracle
 # ---------------------------------------------------------------------------
 
-def _relation_rewrites(factor: Word) -> set[Word]:
+@functools.lru_cache(maxsize=4096)
+def _relation_rewrites(factor: Word) -> frozenset[Word]:
     # A length-3 factor with letters i <= k <= j lies in the relation class
     # {(j,i,k), (j,k,i), (k,j,i)} or in none; return the class's other members.
     if len(factor) != 3:
-        return set()
+        return frozenset()
     i, k, j = sorted(factor)
     members = {(j, i, k), (j, k, i), (k, j, i)}
-    return members - {factor} if factor in members else set()
+    return frozenset(members - {factor}) if factor in members else frozenset()
 
 
 def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[Word]:
     # Yields each member once, in the order generated; see congruence_class.
     if cap <= 0:
         raise ValueError("cap must be positive")
-    table: dict[Word, set[Word]] = {}
+    table: dict[Word, frozenset[Word] | set[Word]] = {}
     for u, v in extra:
         if len(u) != len(v):
             raise ValueError(f"inhomogeneous congruence pair ({u}, {v})")
-        if u != v:
-            table.setdefault(u, _relation_rewrites(u)).add(v)
-            table.setdefault(v, _relation_rewrites(v)).add(u)
+        if u != v:  # a copy: the memoised rule is shared by every call
+            table.setdefault(u, set(_relation_rewrites(u))).add(v)
+            table.setdefault(v, set(_relation_rewrites(v))).add(u)
     sizes = sorted({3, *map(len, table)})
     seen: set[Word] = {word}
     queue: deque[Word] = deque((word,))
@@ -152,7 +154,8 @@ def congruence_class(word: Word, extra: CongruencePairs = NO_EXTRA,
 
     One rule table per call maps each factor to its replacements: the extra
     pairs both ways and the other members of a length-3 factor's relation
-    class, memoised on first sight.  All members have the length of `word`.
+    class, which is memoised across calls.  All members have the length of
+    `word`.
     Raises ClassCapExceeded once more than `cap` words have been generated.
     """
     return set(_closure(word, extra, cap))
@@ -264,6 +267,20 @@ def projection_q(word: Word, x: int, y: int) -> int:
         elif g <= x and q:
             q -= 1
     return q
+
+
+def _pq_image(word: Word, x: int, y: int) -> tuple[int, int]:
+    # (a, b) with p^a q^b the image of `word` under B(x, y); b = projection_q.
+    a = b = 0
+    for g in word:
+        if g >= y:
+            b += 1
+        elif g <= x:
+            if b:
+                b -= 1
+            else:
+                a += 1
+    return a, b
 
 
 def to_staircase(word: Word, n: int) -> StaircaseForm:
@@ -390,7 +407,14 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
         a_j a_i w a_k a_l.
     Each word is compared by the invariant `to_staircase` decodes: its letter
     counts and projections B(x, y), 1 <= x < y <= n.  It fixes the normal
-    form one to one, so no form is decoded.
+    form one to one, so no form is decoded.  The four words have the same
+    letters, so the counts drop out.  Each projection is a homomorphism to
+    the bicyclic monoid, so w's image p^c q^d is computed once per (x, y),
+    as a pair of ints, and each word's image is head image * w image *
+    tail image.  Letters a and b have commuting images under B(x, y) unless
+    min(a, b) <= x < y <= max(a, b) (one goes to p, the other to q); where
+    both the heads and the tails commute, the four words have one image and
+    the projection is skipped.
     Variant 23 appends a_m (i >= j+1 > j >= m > l, k forced to j+1);
     variant 32 prepends a_m (i > m >= j+1 > j >= l, k forced to j+1).
     Each variant is one predicate in `_BOXPLUS`, which `boxplus_tuples`
@@ -408,14 +432,26 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
             f"variant {variant} does not admit (i, j, k, l, m) = {(i, j, k, l, m)}")
     extra: Word = () if m is None else (m,)
     prefix, suffix = (extra, ()) if m_first else ((), extra)
-
-    def invariant(left: Word, right: Word) -> tuple[int, ...]:
-        word = prefix + left + w + right + suffix
-        return (*map(word.count, range(1, n + 1)),
-                *(projection_q(word, x, y) for y in range(2, n + 1) for x in range(1, y)))
-
-    positive = sorted([invariant((i, j), (k, l)), invariant((j, i), (l, k))])
-    return positive == sorted([invariant((i, j), (l, k)), invariant((j, i), (k, l))])
+    h1, h2 = prefix + (i, j), prefix + (j, i)
+    t1, t2 = (k, l) + suffix, (l, k) + suffix
+    (hlo, hhi), (tlo, thi) = sorted((i, j)), sorted((k, l))
+    rows = []
+    for y in range(2, n + 1):
+        for x in range(1, y):
+            if not (hlo <= x and y <= hhi or tlo <= x and y <= thi):
+                continue  # both heads and both tails commute: four equal images
+            # w -> p^c q^d and each tail -> p^e q^f; a head's p-exponent
+            # stays in front, so head * w -> p^. q^b and head * w * tail
+            # -> p^. q^(f + max(0, b - e)), as in bicyclic.bmul.
+            c, d = _pq_image(w, x, y)
+            b1 = d + max(0, projection_q(h1, x, y) - c)
+            b2 = d + max(0, projection_q(h2, x, y) - c)
+            e1, f1 = _pq_image(t1, x, y)
+            e2, f2 = _pq_image(t2, x, y)
+            rows.append((f1 + max(0, b1 - e1), f2 + max(0, b2 - e2),   # ij w kl, ji w lk
+                         f2 + max(0, b1 - e2), f1 + max(0, b2 - e1)))  # ij w lk, ji w kl
+    words = tuple(zip(*rows))
+    return sorted(words[:2]) == sorted(words[2:])
 
 
 def boxplus_tuples(n: int, variant: int) -> Iterator[dict[str, int]]:

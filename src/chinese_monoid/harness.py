@@ -8,6 +8,11 @@ congruences, pairwise incomparability of leaf congruences, and the component
 arithmetic of the leaf schemas.  Suites are deterministic given their
 parameters; the sampled suite takes an explicit seed.
 
+Faithfulness and centrality read the oracle through `_class_partition`,
+which closes each class once and labels all its members: centrality
+builds one partition per congruence over the words head + w and checks
+that w + head carries the same label.
+
 `SUITES` is the one registry: each suite's runner and its parameters in
 report order, name -> (default, low, high).  `run_suite` refuses a parameter
 the suite does not read, fills in the defaults and checks every range before
@@ -21,6 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import core, representation as rep_mod
 from .bicyclic import Bicyclic
@@ -63,14 +69,20 @@ class SuiteReport:
         }
 
 
-def _class_partition(n: int, max_len: int) -> dict[core.Word, int]:
-    """Class id per word, all words of length <= max_len, via the oracle."""
+def _class_partition(words: Iterable[core.Word],
+                     extra: core.CongruencePairs = core.NO_EXTRA) -> dict[core.Word, int]:
+    """Class id per member of every class that meets `words`, via the oracle.
+
+    Modulo the relations and `extra`, each class is closed once, the first
+    time one of `words` falls in it, and all its members get its id; a word
+    of no such class gets none.
+    """
     class_id: dict[core.Word, int] = {}
     next_id = 0
-    for word in words_up_to(n, max_len):
+    for word in words:
         if word in class_id:
             continue
-        for member in congruence_class(word):
+        for member in congruence_class(word, extra):
             class_id[member] = next_id
         next_id += 1
     return class_id
@@ -117,7 +129,7 @@ def _run_faithfulness(params: dict, rng: random.Random) -> tuple[int, list[str]]
     max_len = params["max_len"]
     if n == 4 and max_len > 4:
         raise BoundsExceeded(f"faithfulness needs 1 <= max_len <= 4 at n = 4, got {max_len}")
-    class_id = _class_partition(n, max_len)
+    class_id = _class_partition(words_up_to(n, max_len))
     reps = leaf_representations(n)
     if params["corrupt"]:
         reps, params["corrupted_leaf"] = _corrupt_one(reps, rng)
@@ -187,23 +199,21 @@ def _run_identity(params: dict, rng: random.Random) -> tuple[int, list[str]]:
 
 
 def _run_centrality(params: dict, rng: random.Random) -> tuple[int, list[str]]:
+    # a_s (dot) or a_s a_{s-1} (arc) is central modulo its congruence iff
+    # head + w and w + head share a class for every w.
     failures = []
     instances = 0
     for n in range(3, params["max_n"] + 1):
         words = list(words_up_to(n, params["max_len"]))
-        for s in range(2, n):
-            pairs = first_level_pairs("dot", s, n)
+        checks = [("dot", s, (s,)) for s in range(2, n)]
+        checks += [("arc", s, (s, s - 1)) for s in range(2, n + 1)]
+        for kind, s, head in checks:
+            class_id = _class_partition((head + w for w in words),
+                                        first_level_pairs(kind, s, n))
             for w in words:
                 instances += 1
-                if not eq_oracle((s,) + w, w + (s,), pairs):
-                    failures.append(f"dot n={n} s={s} w={core.format_word(w)!r}")
-        for s in range(2, n + 1):
-            pairs = first_level_pairs("arc", s, n)
-            head = (s, s - 1)
-            for w in words:
-                instances += 1
-                if not eq_oracle(head + w, w + head, pairs):
-                    failures.append(f"arc n={n} s={s} w={core.format_word(w)!r}")
+                if class_id.get(w + head) != class_id[head + w]:
+                    failures.append(f"{kind} n={n} s={s} w={core.format_word(w)!r}")
     return instances, failures
 
 

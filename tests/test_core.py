@@ -11,8 +11,9 @@ from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
                                  congruence_class, count_classes,
                                  decode_staircase, eq_oracle,
                                  first_level_pairs, format_word, multiply,
-                                 parse_word, to_staircase, verify_boxplus,
-                                 words_up_to)
+                                 parse_word, projection_q, to_staircase,
+                                 verify_boxplus, words_up_to)
+from chinese_monoid.bicyclic import Bicyclic, reduce_pq_string
 from chinese_monoid.representation import eq_via_embedding
 
 words3 = st.lists(st.integers(1, 3), max_size=4).map(tuple)
@@ -138,6 +139,17 @@ def test_congruence_class_matches_reference_closure(n, max_len, with_pairs):
         class_of = reference_classes(n, max_len, extra)
         for word, members in class_of.items():
             assert congruence_class(word, extra) == members, (n, sorted(extra), word)
+
+
+def test_extra_pairs_leave_the_memoised_rules_unchanged():
+    # The arc pairs rewrite (3, 1, 2), a relation factor whose memoised rule
+    # every later closure reads; an extra pair must extend a copy of it.
+    extra = first_level_pairs("arc", 2, 3)
+    assert ((3, 1, 2), (2, 1, 3)) in extra
+    with_pairs, plain = reference_classes(3, 3, extra), reference_classes(3, 3)
+    for word in words_up_to(3, 3):
+        assert congruence_class(word, extra) == with_pairs[word], word
+        assert congruence_class(word) == plain[word], word
 
 
 @pytest.mark.parametrize("n,max_len", [(3, 5), (4, 4)])
@@ -382,6 +394,24 @@ def test_verify_boxplus_admits_exactly_the_enumerated_tuples(variant):
             else:
                 with pytest.raises(IndexConstraintViolated):
                     verify_boxplus(n, variant, (), i=i, j=j, k=k, l=l, m=m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.just(n), *[st.lists(st.integers(1, n), max_size=6).map(tuple)] * 3)))
+def test_bicyclic_images_of_a_product_compose(case):
+    # verify_boxplus composes head, w and tail images instead of projecting
+    # the whole word: each B(x, y) must be a homomorphism to B.
+    n, head, w, tail = case
+    word = head + w + tail
+    for y in range(2, n + 1):
+        for x in range(1, y):
+            head_image, w_image, tail_image = (Bicyclic(*core._pq_image(part, x, y))
+                                               for part in (head, w, tail))
+            composed = head_image * w_image * tail_image
+            assert composed.j == projection_q(word, x, y)
+            text = "".join("p" if g <= x else "q" if g >= y else "" for g in word)
+            assert composed == reduce_pq_string(text), (x, y)
 
 
 def normal_form_multisets_agree(n, w, i, j, k, l, m=None, m_first=False):

@@ -2,6 +2,7 @@ import pytest
 
 from chinese_monoid import harness
 from chinese_monoid.bicyclic import IDENTITY, P, Q
+from chinese_monoid.core import eq_oracle, first_level_pairs, words_up_to
 from chinese_monoid.harness import (DEFAULT_BATTERY, SUITE_NAMES,
                                     BoundsExceeded, UnknownSuite, run_suite)
 from chinese_monoid.representation import leaf_representations
@@ -98,6 +99,37 @@ def test_every_range_is_checked_before_the_runner(monkeypatch, name, key):
             run_suite(name, **{key: value})
     with pytest.raises(AssertionError):
         run_suite(name, **{key: high})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_centrality_labels_agree_with_the_oracle(n):
+    # Every dot and arc congruence, and the dot congruence at s = 2 without
+    # its commutator of a_2, a_3, under which a_2 is not central.
+    words = list(words_up_to(n, 3))
+    checks = [(first_level_pairs("dot", s, n), (s,)) for s in range(2, n)]
+    checks += [(first_level_pairs("arc", s, n), (s, s - 1)) for s in range(2, n + 1)]
+    weakened = first_level_pairs("dot", 2, n) - {((3, 2), (2, 3))}
+    assert len(weakened) == len(checks[0][0]) - 1
+    checks.append((weakened, (2,)))
+    verdicts = []
+    for pairs, head in checks:
+        class_id = harness._class_partition((head + w for w in words), pairs)
+        for w in words:
+            labelled = class_id.get(w + head) == class_id[head + w]
+            assert labelled is eq_oracle(head + w, w + head, pairs), (sorted(pairs), head, w)
+            verdicts.append(labelled)
+    assert False in verdicts and True in verdicts
+
+
+def test_centrality_reports_a_weakened_congruence(monkeypatch):
+    real = harness.first_level_pairs
+
+    def without_commutators(kind, s, n):
+        return frozenset(pair for pair in real(kind, s, n) if len(pair[0]) != 2)
+    monkeypatch.setattr(harness, "first_level_pairs", without_commutators)
+    report = run_suite("centrality", max_n=3, max_len=2)
+    assert not report.passed
+    assert report.failures[0].startswith("dot n=3 s=2 w=")
 
 
 def test_failure_injection_breaks_faithfulness():
