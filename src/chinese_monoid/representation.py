@@ -22,14 +22,14 @@ over all leaves decides word equality exactly, and each component depends
 only on its column: N and Z columns add ints along the word, B columns fold
 bicyclic pairs.  So `eq_via_embedding`, the fast counterpart of the
 breadth-first oracle in `core`, compares those columns alone: O(n^2 |w|),
-with no per-rank set-up.  A witness pairs the least word of a class of one
-leaf with the first word the other leaf separates from it.
+with no per-rank set-up.  A witness that one leaf's congruence is not
+contained in another's is built from the two leaves' arcs, in two or three
+letters.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -202,29 +202,33 @@ def arc_unit_tuple(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTuple:
 
 def incomparability_witness(r1: LeafRepresentation, r2: LeafRepresentation,
                             max_len: int) -> tuple[Word, Word] | None:
-    """A pair (w, v) identified by r1 but separated by r2, or None.
+    """A pair (w, v) identified by r1 but separated by r2, or None if the
+    shortest pair built here is longer than max_len.
 
-    Searches words of length 1..max_len; returns the least pair of the
-    shortest length that has one.  Words with equal r1 images form a bucket,
-    and buckets come in the order of their heads (least words).  If r2 splits
-    a bucket, it separates the head from a later word, so the least pair is
-    the first such head with the first word r2 separates from it.
+    Built from the leaves' arcs.  An arc (x, y) of r2 separates a_x a_y from
+    a_y a_x; r1's other columns add, and its arc (p, q) tells the two apart
+    only if x <= p and q <= y.  So an arc of r2 with no arc of r1 inside
+    [x, y] gives the pair (x y, y x).  Otherwise an arc of r2 that r1 lacks,
+    with (p, q) the outermost arc of r1 inside [x, y], gives (x y p, p y x)
+    if p > x and (q x y, q y x) if p = x.  Distinct leaves have arc sets
+    neither of which contains the other (tested at n = 3..16), so some arc
+    of r2 is not one of r1's.  Of the pairs so built, the shortest is
+    returned, the least of them if several are.
     """
     if r1 == r2:
         raise BadLeafPair("the leaf representations must differ")
     if r1.n != r2.n:
         raise BadLeafPair("the leaf representations must have equal rank")
-    for length in range(1, max_len + 1):
-        buckets: dict[ImageTuple, list[Word]] = {}
-        for word in itertools.product(range(1, r1.n + 1), repeat=length):
-            buckets.setdefault(image(r1, word), []).append(word)
-        for head, *rest in buckets.values():
-            if rest:
-                own = image(r2, head)
-                for v in rest:
-                    if image(r2, v) != own:
-                        return head, v
-    return None
+    pairs = []
+    for x, y in r2.leaf.arcs:
+        inside = [(p, q) for p, q in r1.leaf.arcs if x <= p and q <= y]
+        if not inside:
+            pairs.append(((x, y), (y, x)))
+        elif (x, y) not in inside:
+            p, q = min(inside)  # arcs nest, so the least is the outermost
+            pairs.append(((x, y, p), (p, y, x)) if p > x else ((q, x, y), (q, y, x)))
+    pair = min(pairs, key=lambda pair: (len(pair[0]), pair))
+    return pair if len(pair[0]) <= max_len else None
 
 
 def image_str(rep: LeafRepresentation, value: ImageTuple) -> str:

@@ -10,10 +10,9 @@ dot only an arc, and dots never sit on generator 1 or n.  An arc touching
 generator 1 or n is extreme and terminates the branch; vertices ending in an
 extreme arc are the leaves.
 
-One step function, `_step`, holds these rules: it checks a single step
-against a vertex's state and returns the child's state.  `Diagram` applies it
-to every step it is given, and `children` keeps the candidate steps it
-accepts.
+One function, `_moves`, states these rules: the legal steps from a vertex's
+state, each with the child's state.  `Diagram` and `Diagram.child` follow
+the steps they are given through it, and `children` lists its moves.
 
 Vertices are written as ids like "d2 A L": initial token d<s> or a<s>, then
 A (arc above), L (dot left), R (dot right).
@@ -69,8 +68,9 @@ def _is_leaf(n: int, state: tuple) -> bool:
     return last == "arc" and (u == 1 or v == n)
 
 
-def _step(n: int, state: tuple, step: Step) -> tuple:
-    """Check one step against the construction rules; return the child's state.
+def _moves(n: int, state: tuple) -> dict:
+    """The legal steps from a state, each with the child's state, in the fixed
+    child order: d2..d(n-1), a2..an at the root, then A, L, R elsewhere.
 
     A state is (u, v, last, marks): the used interval [u, v] (None, None at
     the root), the last move ("root", "dot0", "dotL", "dotR" or "arc") and
@@ -78,29 +78,28 @@ def _step(n: int, state: tuple, step: Step) -> tuple:
     fits: only an extreme arc reaches generator 1 or n, and nothing follows it.
     """
     u, v, last, marks = state
-    if _is_leaf(n, state):
-        raise MalformedDiagram("steps continue past an extreme arc")
     if last == "root":
-        if not (isinstance(step, tuple) and len(step) == 2 and step[0] in ("d", "a")):
-            raise MalformedDiagram(f"first step must be ('d', s) or ('a', s), got {step!r}")
-        kind, s = step
-        if kind == "d":
-            if not 2 <= s <= n - 1:
-                raise MalformedDiagram(f"initial dot index {s} outside 2..{n - 1}")
-            return s, s, "dot0", (("dot", s),)
-        if not 2 <= s <= n:
-            raise MalformedDiagram(f"initial arc index {s} outside 2..{n}")
-        return s - 1, s, "arc", (("arc", s - 1, s),)
-    if step == "A":
-        return u - 1, v + 1, "arc", marks + (("arc", u - 1, v + 1),)
-    if step in ("L", "R"):
-        g, side = (u - 1, "left") if step == "L" else (v + 1, "right")
-        if last not in ("arc", "dot" + step):
-            raise MalformedDiagram(f"dot {side} not allowed after {last}")
-        if not 2 <= g <= n - 1:
-            raise MalformedDiagram(f"dot {side} would use generator {g}")
-        return min(u, g), max(v, g), "dot" + step, marks + (("dot", g),)
-    raise MalformedDiagram(f"unknown step {step!r}")
+        return {**{("d", s): (s, s, "dot0", (("dot", s),)) for s in range(2, n)},
+                **{("a", s): (s - 1, s, "arc", (("arc", s - 1, s),)) for s in range(2, n + 1)}}
+    if _is_leaf(n, state):
+        return {}
+    moves = {"A": (u - 1, v + 1, "arc", marks + (("arc", u - 1, v + 1),))}
+    if last in ("arc", "dotL") and u > 2:
+        moves["L"] = (u - 1, v, "dotL", marks + (("dot", u - 1),))
+    if last in ("arc", "dotR") and v < n - 1:
+        moves["R"] = (u, v + 1, "dotR", marks + (("dot", v + 1),))
+    return moves
+
+
+def _follow(n: int, state: tuple, step: Step) -> tuple:
+    """The child's state after one step; a step not among the moves raises."""
+    moves = _moves(n, state)
+    try:
+        return moves[step]
+    except (KeyError, TypeError):  # TypeError: an unhashable step
+        legal = (f"('d', 2..{n - 1}) or ('a', 2..{n})" if state[2] == "root"
+                 else " ".join(moves) or "none past an extreme arc")
+        raise MalformedDiagram(f"step {step!r} not allowed here; legal: {legal}") from None
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ class Diagram:
             raise RankTooSmall(f"rank must be >= 3, got {self.n}")
         state = _ROOT
         for step in self.steps:
-            state = _step(self.n, state, step)
+            state = _follow(self.n, state, step)
         object.__setattr__(self, "_state", state)
 
     @property
@@ -151,7 +150,9 @@ class Diagram:
 
     def child(self, step: Step) -> "Diagram":
         """The vertex one step below; only the new step is checked."""
-        state = _step(self.n, self._state, step)
+        return self._kid(step, _follow(self.n, self._state, step))
+
+    def _kid(self, step: Step, state: tuple) -> "Diagram":
         kid = object.__new__(Diagram)
         for name, value in (("n", self.n), ("steps", self.steps + (step,)), ("_state", state)):
             object.__setattr__(kid, name, value)
@@ -181,20 +182,9 @@ def parse_id(text: str, n: int) -> Diagram:
 
 
 def children(d: Diagram) -> list[Diagram]:
-    """Child vertices in the fixed order: initial dots then initial arcs for
-    the root; arc above, dot left, dot right elsewhere.  A candidate step is
-    a child exactly when `_step` accepts it, and `_step` accepts none at a leaf."""
-    if d.is_leaf:
-        return []
-    candidates = ([(kind, s) for kind in "da" for s in range(1, d.n + 1)] if d.is_root
-                  else ["A", "L", "R"])
-    kids = []
-    for step in candidates:
-        try:
-            kids.append(d.child(step))
-        except MalformedDiagram:
-            pass
-    return kids
+    """Child vertices in the fixed order of `_moves`: initial dots then initial
+    arcs for the root; arc above, dot left, dot right elsewhere; none at a leaf."""
+    return [d._kid(step, state) for step, state in _moves(d.n, d._state).items()]
 
 
 def preorder(root: Diagram) -> Iterator[tuple[Diagram, int, list[Diagram]]]:

@@ -139,9 +139,6 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "n <= 16" in err and out == ""
     code, out, err = run(capsys, "leaves", "-n", "17")
     assert code == 2 and "n <= 16" in err and out == ""
-    code, out, err = run(capsys, "witness", "-n", "4", "--leaf1", "a2", "--leaf2", "a4",
-                         "--max-len", "10")
-    assert code == 2 and "n ** max-len" in err and out == ""
     code, out, err = run(capsys, "image", "-n", "1001", "--leaf", "a2", "1")
     assert code == 2 and "n <= 1000" in err and out == ""
     code, out, err = run(capsys, "normalize", "-n", "1001", "1")
@@ -160,12 +157,20 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
     code, out, err = run(capsys, "verify", "all", "--max-n", "4")
     assert code == 2 and "error:" in err and out == ""
-    for n in ("300", "1000"):
-        code, out, err = run(capsys, "witness", "-n", n, "--leaf1", "a2", "--leaf2", "a" + n,
-                             "--max-len", "2")
-        assert code == 2 and "n ** max-len * n" in err and out == ""
     code, out, err = run(capsys, "verify", "counts", "--corrupt")
     assert code == 2 and "does not read corrupt" in err and out == ""
+
+
+def test_witness_answers_at_the_largest_rank(capsys):
+    # The pair is built from the leaves' arcs, so neither the rank nor
+    # --max-len bounds the work; --max-len only has to be at least 1.
+    code, out, _ = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000",
+                       "--max-len", "2")
+    assert code == 0
+    assert out.splitlines()[:2] == ["w = 999 1000", "v = 1000 999"]
+    code, out, err = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000",
+                         "--max-len", "0")
+    assert code == 2 and "--max-len >= 1" in err and out == ""
 
 
 def test_the_oracle_is_not_bounded_by_projections(capsys):
@@ -208,7 +213,7 @@ GOLDEN = {
     "witness": ([("witness", "-n", str(n), "--leaf1", a.id, "--leaf2", b.id, "--max-len", str(m))
                  for n, m in ((4, 6), (5, 5))
                  for a in enumerate_leaves(n) for b in enumerate_leaves(n) if a != b],
-                "6228c6573b08b427d9da8115c7e89f385359bee3206b2380bed6797d51bc0cb5"),
+                "808d60747ae9e258cbea394c1bab024a3a22796c2c2533b0a2f7e1c7f3886846"),
 }
 
 

@@ -10,7 +10,8 @@ from chinese_monoid.core import (StaircaseForm, WordSyntaxError,
                                  congruence_class, eq_oracle, to_staircase,
                                  words_up_to)
 from chinese_monoid.cli import MAX_TREE_RANK
-from chinese_monoid.representation import (Component, LeafRepresentation,
+from chinese_monoid.representation import (BadLeafPair, Component,
+                                           LeafRepresentation,
                                            NotALeaf, NotAnArcStep, _mark_table,
                                            arc_element_image, arc_unit_tuple,
                                            build_representation,
@@ -314,8 +315,10 @@ def test_witness_search_is_deterministic():
 
 def test_witness_rejects_equal_representations():
     rep = rep_for("a2", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadLeafPair, match="must differ"):
         incomparability_witness(rep, rep, 3)
+    with pytest.raises(BadLeafPair, match="equal rank"):
+        incomparability_witness(rep, rep_for("a2", 4), 3)
 
 
 def test_witness_not_found_returns_none():
@@ -323,6 +326,61 @@ def test_witness_not_found_returns_none():
     r2 = rep_for("a4", 4)
     # length-1 words are separated by neither congruence
     assert incomparability_witness(r1, r2, 1) is None
+
+
+def test_witness_examples_of_each_rule():
+    # (1, 2) of "a2" holds no arc of "a3 A": a two-letter pair.
+    assert incomparability_witness(rep_for("a3 A", 4), rep_for("a2", 4), 6) == ((1, 2), (2, 1))
+    # (1, 3) of "d2 A" holds (2, 3) of "a3 A", and p = 2 > x = 1.
+    assert incomparability_witness(rep_for("a3 A", 4), rep_for("d2 A", 4), 6) == \
+        ((1, 3, 2), (2, 3, 1))
+    # (1, 3) of "d2 A" holds (1, 2) of "a2", and p = x = 1.
+    assert incomparability_witness(rep_for("a2", 4), rep_for("d2 A", 4), 6) == \
+        ((2, 1, 3), (2, 3, 1))
+    # (1, 5) of "d3 A A" holds (3, 4) and (2, 5) of "a4 A": the outermost counts.
+    assert incomparability_witness(rep_for("a4 A", 5), rep_for("d3 A A", 5), 6) == \
+        ((1, 5, 2), (2, 5, 1))
+
+
+def shortest_witness_length(r1, r2, max_len):
+    """Least length of a pair r1 identifies and r2 separates, by image over
+    every word: the reference for the witness built from the arcs."""
+    for length in range(1, max_len + 1):
+        r2_images = {}
+        for word in itertools.product(range(1, r1.n + 1), repeat=length):
+            r2_images.setdefault(image(r1, word), set()).add(image(r2, word))
+        if any(len(images) > 1 for images in r2_images.values()):
+            return length
+    return None
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_witness_is_valid_for_every_leaf_pair(n):
+    reps = leaf_representations(n)
+    for r1, r2 in itertools.permutations(reps, 2):
+        w, v = incomparability_witness(r1, r2, 3)
+        assert image(r1, w) == image(r1, v), (r1.leaf.id, r2.leaf.id)
+        assert image(r2, w) != image(r2, v), (r1.leaf.id, r2.leaf.id)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_witness_is_as_short_as_a_search_finds(n):
+    for r1, r2 in itertools.permutations(leaf_representations(n), 2):
+        w, _ = incomparability_witness(r1, r2, 3)
+        assert len(w) == shortest_witness_length(r1, r2, 3), (r1.leaf.id, r2.leaf.id)
+
+
+def test_leaf_arc_sets_form_an_antichain():
+    # The witness for (r1, r2) starts from an arc of r2 that r1 lacks, so it
+    # exists when no leaf's arc set holds another's.  The arcs of a leaf
+    # nest, at most n/2 of them, so every proper subset is checked.
+    for n in range(3, MAX_TREE_RANK + 1):
+        arc_sets = {frozenset(leaf.arcs) for leaf in enumerate_leaves(n)}
+        assert len(arc_sets) == tribonacci(n)
+        for arcs in arc_sets:
+            for size in range(1, len(arcs)):
+                assert not any(frozenset(part) in arc_sets
+                               for part in itertools.combinations(arcs, size)), (n, arcs)
 
 
 # --- serialization -----------------------------------------------------------

@@ -106,6 +106,13 @@ def test_malformed_sequences():
         Diagram(4, (("a", 2), "R"))      # (a,2) is already extreme
     with pytest.raises(MalformedDiagram):
         Diagram(4, (("d", 2), "X"))
+    for unhashable in (["d", 2], ("d", [2])):
+        with pytest.raises(MalformedDiagram):
+            Diagram(4, (unhashable,))
+        with pytest.raises(MalformedDiagram):
+            Diagram(4).child(unhashable)
+    with pytest.raises(MalformedDiagram, match="legal: A"):
+        Diagram(5, (("a", 4), "L")).child("R")
 
 
 def test_parse_id_roundtrip():
@@ -152,6 +159,17 @@ def test_marks_name_the_vertices_one_to_one():
         all_vertices = vertices(n)
         assert len({frozenset(d.marks) for d in all_vertices}) == len(all_vertices)
         assert len({render_ascii(d) for d in all_vertices}) == len(all_vertices)
+
+
+def test_the_tree_walk_checks_no_step(monkeypatch):
+    # children lists the legal moves of a vertex; it never builds a child only
+    # to reject it.  A step is checked only when a caller names it.
+    import chinese_monoid.tree as tree
+
+    def forbidden(*args):
+        raise AssertionError("checked a step")
+    monkeypatch.setattr(tree, "_follow", forbidden)
+    assert len(enumerate_leaves(10)) == tribonacci(10)
 
 
 def test_preorder_yields_depths_and_children():
