@@ -12,7 +12,7 @@ the identity.  Every class contains a unique word matching the triangular
 
 which serves as the canonical form.  `to_staircase` decodes its exponents
 from the letter counts and the bicyclic projections of the word, in time
-polynomial in n and |w|; `verify_boxplus` compares these invariants.  The
+polynomial in n and |w|; `boxplus_failures` compares these invariants.  The
 breadth-first closure of the relations (`congruence_class`, `eq_oracle`)
 is the correctness oracle the tests and suites check everything else
 against: slow but correct by construction at desk scale.  It sorts each
@@ -26,7 +26,7 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
 CongruencePairs = frozenset[tuple[Word, Word]]
@@ -409,9 +409,9 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
     counts and projections B(x, y), 1 <= x < y <= n.  It fixes the normal
     form one to one, so no form is decoded.  The four words have the same
     letters, so the counts drop out.  Each projection is a homomorphism to
-    the bicyclic monoid, so w's image p^c q^d is computed once per (x, y),
-    as a pair of ints, and each word's image is head image * w image *
-    tail image.  Letters a and b have commuting images under B(x, y) unless
+    the bicyclic monoid, so w's image p^c q^d under each B(x, y) is a pair
+    of ints, and each word's image is head image * w image * tail image.
+    Letters a and b have commuting images under B(x, y) unless
     min(a, b) <= x < y <= max(a, b) (one goes to p, the other to q); where
     both the heads and the tails commute, the four words have one image and
     the projection is skipped.
@@ -419,39 +419,62 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
     variant 32 prepends a_m (i > m >= j+1 > j >= l, k forced to j+1).
     Each variant is one predicate in `_BOXPLUS`, which `boxplus_tuples`
     enumerates; an index outside 1..n, or a tuple the predicate rejects,
-    raises IndexConstraintViolated.
+    raises IndexConstraintViolated.  It is `boxplus_failures` on one instance.
     """
-    admissible, m_first = _boxplus_rule(variant)
-    for x in (i, j, k, l, m) + w:
+    return not any(boxplus_failures(n, (w,), ((variant, dict(i=i, j=j, k=k, l=l, m=m)),)))
+
+
+def boxplus_failures(n: int, words: Sequence[Word],
+                     tuples: Sequence[tuple[int, dict]]) -> Iterator[tuple[int, dict, Word]]:
+    """Yield (variant, indices, w) for each failing instance of `verify_boxplus`.
+
+    Every (variant, indices) of `tuples`, with indices its keyword arguments,
+    meets every w of `words`, tuple-major and word-minor.  Every letter and
+    index is range-checked before any work, and each word's image under every
+    B(x, y) is computed once per call, which the suite makes once per rank.
+    Per tuple, the kept projections and their head and tail images are
+    computed once, so per (tuple, w) only integers are composed.  The two
+    multisets of words agree iff, at every kept projection, ij w kl = ij w lk
+    and ji w lk = ji w kl (straight) or ij w kl = ji w kl and ji w lk =
+    ij w lk (crossed).
+    """
+    for x in itertools.chain(*words, *(map(t.get, "ijklm") for _, t in tuples)):
         if x is not None and not 1 <= x <= n:
             raise IndexConstraintViolated(f"index {x} outside 1..{n}")
-    if k is None:
-        k = j + 1
-    if not admissible(i, j, k, l, m or 0):
-        raise IndexConstraintViolated(
-            f"variant {variant} does not admit (i, j, k, l, m) = {(i, j, k, l, m)}")
-    extra: Word = () if m is None else (m,)
-    prefix, suffix = (extra, ()) if m_first else ((), extra)
-    h1, h2 = prefix + (i, j), prefix + (j, i)
-    t1, t2 = (k, l) + suffix, (l, k) + suffix
-    (hlo, hhi), (tlo, thi) = sorted((i, j)), sorted((k, l))
-    rows = []
-    for y in range(2, n + 1):
-        for x in range(1, y):
-            if not (hlo <= x and y <= hhi or tlo <= x and y <= thi):
-                continue  # both heads and both tails commute: four equal images
-            # w -> p^c q^d and each tail -> p^e q^f; a head's p-exponent
-            # stays in front, so head * w -> p^. q^b and head * w * tail
-            # -> p^. q^(f + max(0, b - e)), as in bicyclic.bmul.
-            c, d = _pq_image(w, x, y)
-            b1 = d + max(0, projection_q(h1, x, y) - c)
-            b2 = d + max(0, projection_q(h2, x, y) - c)
-            e1, f1 = _pq_image(t1, x, y)
-            e2, f2 = _pq_image(t2, x, y)
-            rows.append((f1 + max(0, b1 - e1), f2 + max(0, b2 - e2),   # ij w kl, ji w lk
-                         f2 + max(0, b1 - e2), f1 + max(0, b2 - e1)))  # ij w lk, ji w kl
-    words = tuple(zip(*rows))
-    return sorted(words[:2]) == sorted(words[2:])
+    pairs = [(x, y) for y in range(2, n + 1) for x in range(1, y)]
+    images = {(x, y): [_pq_image(w, x, y) for w in words] for x, y in pairs}
+    for variant, indices in tuples:
+        admissible, m_first = _boxplus_rule(variant)
+        i, j, k, l, m = map(indices.get, "ijklm")
+        k = j + 1 if k is None else k
+        if not admissible(i, j, k, l, m or 0):
+            raise IndexConstraintViolated(
+                f"variant {variant} does not admit (i, j, k, l, m) = {(i, j, k, l, m)}")
+        extra: Word = () if m is None else (m,)
+        prefix, suffix = (extra, ()) if m_first else ((), extra)
+        h1, h2 = prefix + (i, j), prefix + (j, i)
+        t1, t2 = (k, l) + suffix, (l, k) + suffix
+        (hlo, hhi), (tlo, thi) = sorted((i, j)), sorted((k, l))
+        kept = [(images[x, y], projection_q(h1, x, y), projection_q(h2, x, y),
+                 *_pq_image(t1, x, y), *_pq_image(t2, x, y))
+                for x, y in pairs  # elsewhere heads and tails commute: four equal images
+                if hlo <= x and y <= hhi or tlo <= x and y <= thi]
+        for index, w in enumerate(words):
+            straight = crossed = True
+            for image, g1, g2, e1, f1, e2, f2 in kept:
+                # w -> p^c q^d and each tail -> p^e q^f; a head's p-exponent
+                # stays in front, so head * w -> p^. q^b and head * w * tail
+                # -> p^. q^(f + max(0, b - e)), as in bicyclic.bmul, with max
+                # inlined.  v1, v3 = ij w kl, ij w lk; v2, v4 = ji w lk, ji w kl.
+                c, d = image[index]
+                b1, b2 = (d + g1 - c if g1 > c else d), (d + g2 - c if g2 > c else d)
+                v1, v3 = (f1 + b1 - e1 if b1 > e1 else f1), (f2 + b1 - e2 if b1 > e2 else f2)
+                v2, v4 = (f2 + b2 - e2 if b2 > e2 else f2), (f1 + b2 - e1 if b2 > e1 else f1)
+                straight = straight and v1 == v3 and v2 == v4
+                crossed = crossed and v1 == v4 and v2 == v3
+                if not (straight or crossed):
+                    yield variant, indices, w
+                    break
 
 
 def boxplus_tuples(n: int, variant: int) -> Iterator[dict[str, int]]:

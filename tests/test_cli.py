@@ -279,6 +279,6 @@ def test_internal_index_error_is_not_a_usage_error(monkeypatch):
 
     def broken(*args, **kwargs):
         raise core.IndexConstraintViolated("index 0 outside 1..3")
-    monkeypatch.setattr(harness, "verify_boxplus", broken)
+    monkeypatch.setattr(core, "boxplus_failures", broken)
     with pytest.raises(core.IndexConstraintViolated):
         main(["verify", "boxplus", "--max-n", "3", "--max-word-len", "0"])

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chinese_monoid import core
+from chinese_monoid import core, harness
 from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
-                                 StaircaseForm, WordSyntaxError, boxplus_tuples,
-                                 congruence_class, count_classes,
+                                 StaircaseForm, WordSyntaxError, boxplus_failures,
+                                 boxplus_tuples, congruence_class, count_classes,
                                  decode_staircase, eq_oracle,
                                  first_level_pairs, format_word, multiply,
                                  parse_word, projection_q, to_staircase,
@@ -446,3 +446,32 @@ def test_verify_boxplus_reports_inadmissible_tuples_as_false(monkeypatch):
         if not want:
             failing.add((i, j, k, l))
     assert len(failing) == 32 and (1, 2, 1, 2) in failing
+
+
+@pytest.mark.parametrize("n,max_len", [(3, 2), (4, 1)])
+def test_boxplus_failures_are_the_failing_instances_in_order(monkeypatch, n, max_len):
+    # With variant 22 admitting every tuple, some instances fail; the batch
+    # path must yield exactly those, tuple-major and word-minor, and the
+    # suite must report them in that order.
+    monkeypatch.setitem(core._BOXPLUS, 22, (lambda i, j, k, l, m: True, False))
+    words = list(words_up_to(n, max_len))
+    tuples = [(variant, t) for variant in (22, 23, 32) for t in boxplus_tuples(n, variant)]
+    want = [(variant, t, w) for variant, t in tuples for w in words
+            if not normal_form_multisets_agree(n, w, t["i"], t["j"], t.get("k", t["j"] + 1),
+                                               t["l"], t.get("m"), variant == 32)]
+    assert len(want) >= 32
+    assert list(boxplus_failures(n, words, tuples)) == want
+    if n == 3:
+        report = harness.run_suite("boxplus", max_n=3, max_word_len=max_len)
+        assert report.instances == len(tuples) * len(words)
+        assert report.failures == [f"n=3 variant={variant} {t} w={format_word(w)!r}"
+                                   for variant, t, w in want]
+
+
+def test_boxplus_failures_checks_every_letter_and_index():
+    tuples = [(22, {"i": 3, "j": 2, "k": 2, "l": 1})]
+    assert list(boxplus_failures(3, [(), (1, 3)], tuples)) == []
+    for words, bad in (([(), (4,)], tuples), ([()], [(22, {"i": 4, "j": 2, "k": 2, "l": 1})]),
+                       ([()], [(22, {"i": 2, "j": 3, "k": 2, "l": 1})]), ([()], [(99, tuples[0][1])])):
+        with pytest.raises(IndexConstraintViolated):
+            list(boxplus_failures(3, words, bad))

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from chinese_monoid import harness
 from chinese_monoid.bicyclic import IDENTITY, P, Q
-from chinese_monoid.core import eq_oracle, first_level_pairs, words_up_to
+from chinese_monoid.core import (congruence_class, eq_oracle, first_level_pairs,
+                                 format_word, words_up_to)
 from chinese_monoid.harness import (DEFAULT_BATTERY, SUITE_NAMES,
                                     BoundsExceeded, UnknownSuite, run_suite)
-from chinese_monoid.representation import leaf_representations
+from chinese_monoid.representation import image, leaf_representations
 
 
 def test_suite_names_are_complete():
@@ -49,7 +52,7 @@ def test_counts_report_contents():
     ("boxplus", {"max_n": 9}),
     ("identity", {"samples": 0}),
     ("centrality", {"max_len": 9}),
-    ("incomparability", {"n": 9}),
+    ("incomparability", {"n": 11}),
     ("schema", {"max_n": 30}),
     ("faithfulness", {"n": 3, "max_len": 0}),
     ("faithfulness", {"n": 3, "max_len": -3}),
@@ -77,7 +80,7 @@ TABLE = {
     "boxplus": {"max_n": (5, 3, 6), "max_word_len": (3, 0, 4)},
     "identity": {"samples": (200, 1, 10_000), "max_n": (5, 3, 6), "max_len": (4, 1, 6)},
     "centrality": {"max_n": (4, 3, 5), "max_len": (4, 0, 5)},
-    "incomparability": {"n": (4, 3, 5), "max_len": (6, 1, 8)},
+    "incomparability": {"n": (4, 3, 10), "max_len": (6, 1, 8)},
     "schema": {"max_n": (10, 3, 12)},
 }
 
@@ -137,6 +140,67 @@ def test_failure_injection_breaks_faithfulness():
         report = run_suite("faithfulness", n=3, max_len=3, corrupt=True, seed=seed)
         assert not report.passed
         assert "corrupted_leaf" in report.params
+
+
+def pairwise_faithfulness(n, max_len, corrupt, seed):
+    """Every pair of words compared by its own oracle class and leaf images."""
+    words = list(words_up_to(n, max_len))
+    first_member = {}
+    for w in words:
+        for member in congruence_class(w):
+            first_member.setdefault(member, w)
+    reps = leaf_representations(n)
+    if corrupt:
+        reps, _ = harness._corrupt_one(reps, random.Random(seed))
+    images = {w: [image(rep, w) for rep in reps] for w in words}
+    failures = []
+    instances = 0
+    for a, wa in enumerate(words):
+        for wb in words[a + 1:]:
+            instances += 1
+            oracle_eq = first_member[wa] == first_member[wb]
+            embed_eq = images[wa] == images[wb]
+            if oracle_eq != embed_eq:
+                failures.append(f"({format_word(wa)!r}, {format_word(wb)!r}): "
+                                f"oracle={oracle_eq}, embedding={embed_eq}")
+                if len(failures) >= 20:
+                    return instances, failures + ["... further discrepancies suppressed"]
+    return instances, failures
+
+
+@pytest.mark.parametrize("n,max_len", [(3, m) for m in range(1, 6)] + [(4, m) for m in range(1, 5)])
+def test_faithfulness_partitions_match_the_pairwise_scan(n, max_len):
+    clean = run_suite("faithfulness", n=n, max_len=max_len)
+    assert clean.passed and (clean.instances, clean.failures) == \
+        pairwise_faithfulness(n, max_len, False, 0)
+    for seed in range(5):
+        report = run_suite("faithfulness", n=n, max_len=max_len, corrupt=True, seed=seed)
+        assert (report.instances, report.failures) == \
+            pairwise_faithfulness(n, max_len, True, seed), seed
+
+
+def test_faithfulness_reports_a_tampered_partition(monkeypatch):
+    # Merging two classes, merging two and splitting a third (the class and
+    # image counts stay equal), and merging two images must each be reported.
+    real_partition, real_image = harness._class_partition, harness.image
+
+    def tampered(words, extra=harness.core.NO_EXTRA):
+        class_id = real_partition(words, extra)
+        merged = {w: class_id[(1, 2)] if c == class_id[(2, 1)] else c
+                  for w, c in class_id.items()}
+        return merged if split is None else {**merged, split: -1}
+
+    merged_12 = ["('1 2', '2 1'): oracle=True, embedding=False"]
+    for split, want in ((None, merged_12),
+                        ((2, 3, 1), merged_12 + ["('2 3 1', '3 1 2'): oracle=False, embedding=True",
+                                                 "('2 3 1', '3 2 1'): oracle=False, embedding=True"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_class_partition", tampered)
+            assert run_suite("faithfulness", n=3, max_len=3).failures == want
+    monkeypatch.setattr(harness, "image", lambda rep, w: real_image(rep, {(2, 1): (1, 2)}.get(w, w)))
+    report = run_suite("faithfulness", n=3, max_len=3)
+    assert report.failures == ["('1 2', '2 1'): oracle=False, embedding=True"]
+    assert report.instances == 40 * 39 // 2
 
 
 def test_corruption_never_reaches_the_shared_columns():
