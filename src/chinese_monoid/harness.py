@@ -19,7 +19,8 @@ report order, name -> (default, low, high).  `run_suite` refuses a parameter
 the suite does not read, fills in the defaults and checks every range before
 the runner starts, so no suite body sets a default or checks a bound.  The
 one exception is faithfulness's `max_len`, whose default (5 or 4) and cap
-(6 or 4) depend on `n`.
+(6 or 4) depend on `n`, and whose floor is 3 with `corrupt`: the tampered
+class has length 3, so a shorter run could not fail.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def _run_faithfulness(params: dict, rng: random.Random) -> tuple[int, list[str]]
     max_len = params["max_len"]
     if n == 4 and max_len > 4:
         raise BoundsExceeded(f"faithfulness needs 1 <= max_len <= 4 at n = 4, got {max_len}")
+    if params["corrupt"] and max_len < 3:
+        raise BoundsExceeded(f"faithfulness with corrupt needs max_len >= 3, the length of "
+                             f"the tampered relation class, got {max_len}")
     words = list(words_up_to(n, max_len))
     class_id = _class_partition(words)
     reps = leaf_representations(n)
@@ -263,7 +267,7 @@ SUITES = {
     "identity": (_run_identity, {"samples": (200, 1, 10_000), "max_n": (5, 3, 6),
                                  "max_len": (4, 1, 6)}),
     "centrality": (_run_centrality, {"max_n": (4, 3, 5), "max_len": (4, 0, 5)}),
-    "incomparability": (_run_incomparability, {"n": (4, 3, 10), "max_len": (6, 1, 8)}),
+    "incomparability": (_run_incomparability, {"n": (4, 3, 10), "max_len": (3, 1, 3)}),
     "schema": (_run_schema, {"max_n": (10, 3, 12)}),
 }
 

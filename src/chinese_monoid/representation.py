@@ -10,8 +10,9 @@ generator-image table, one column per component:
     x < g < y and q for g >= y, which is the rule of `core.projection_q`
     by definition (the generators under an arc are the ones already used),
     then an integer component, the unit column at x;
-  * each generator no mark uses: a trailing natural unit column (it
-    generates a free commutative factor).
+  * each generator no mark uses, that is each outside the leaf's used
+    interval [u, v] (its marks use exactly u..v): a trailing natural unit
+    column (it generates a free commutative factor).
 
 A table is stored by its columns (`images` is a row view), and each mark's
 components and columns come from a memo bounded by one tree rank's marks, so
@@ -30,6 +31,7 @@ letters.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,7 +63,7 @@ class Component(NamedTuple):
 ImageTuple = tuple  # entries: int for N/Z components, Bicyclic for B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeafRepresentation:
     leaf: Diagram
     schema: tuple[Component, ...]
@@ -123,13 +125,16 @@ def build_representation(leaf: Diagram) -> LeafRepresentation:
     """Generator-image table of the leaf's quotient, per the module rules."""
     if not leaf.is_leaf:
         raise NotALeaf(f"{leaf.id!r} is not a leaf")
-    used = {g for mark in leaf.marks for g in mark[1:]}
-    schema, columns = (), ()
-    for mark in leaf.marks + tuple(("free", g) for g in range(1, leaf.n + 1) if g not in used):
-        mark_schema, mark_columns = _mark_table(leaf.n, mark)
+    n = leaf.n
+    u, v = leaf.interval
+    schema: list[Component] = []
+    columns: list[tuple] = []
+    free = (("free", g) for g in itertools.chain(range(1, u), range(v + 1, n + 1)))
+    for mark in itertools.chain(leaf.marks, free):
+        mark_schema, mark_columns = _mark_table(n, mark)
         schema += mark_schema
         columns += mark_columns
-    return LeafRepresentation(leaf, schema, columns)
+    return LeafRepresentation(leaf, tuple(schema), tuple(columns))
 
 
 def _column_value(kind: str, entries: list) -> int | Bicyclic:

@@ -14,6 +14,12 @@ One function, `_moves`, states these rules: the legal steps from a vertex's
 state, each with the child's state.  `Diagram` and `Diagram.child` follow
 the steps they are given through it, and `children` lists its moves.
 
+One walk, `_walk`, visits a subtree in pre-order over states alone;
+`preorder`, `enumerate_leaves` and `render_dot` all run on it, and a
+`Diagram` is built only where a caller reads one: for every vertex and its
+children in `preorder`, for the leaves alone in `enumerate_leaves`, and
+nowhere in `render_dot`, which builds each vertex id once from its steps.
+
 Vertices are written as ids like "d2 A L": initial token d<s> or a<s>, then
 A (arc above), L (dot left), R (dot right).
 """
@@ -102,7 +108,7 @@ def _follow(n: int, state: tuple, step: Step) -> tuple:
         raise MalformedDiagram(f"step {step!r} not allowed here; legal: {legal}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
     """A vertex of the tree: a validated step sequence over rank n."""
 
@@ -140,23 +146,33 @@ class Diagram:
         return _is_leaf(self.n, self._state)
 
     @property
+    def interval(self) -> tuple:
+        """The used interval (u, v); (None, None) at the root."""
+        return self._state[:2]
+
+    @property
     def id(self) -> str:
-        if not self.steps:
-            return "root"
-        first = self.steps[0]
-        tokens = [f"{first[0]}{first[1]}"]
-        tokens.extend(self.steps[1:])
-        return " ".join(tokens)
+        return _vertex_id(self.steps)
 
     def child(self, step: Step) -> "Diagram":
         """The vertex one step below; only the new step is checked."""
-        return self._kid(step, _follow(self.n, self._state, step))
+        return _vertex(self.n, self.steps + (step,), _follow(self.n, self._state, step))
 
-    def _kid(self, step: Step, state: tuple) -> "Diagram":
-        kid = object.__new__(Diagram)
-        for name, value in (("n", self.n), ("steps", self.steps + (step,)), ("_state", state)):
-            object.__setattr__(kid, name, value)
-        return kid
+
+def _vertex(n: int, steps: tuple, state: tuple) -> Diagram:
+    """The Diagram of a vertex the walk reached, without replaying its steps."""
+    d = object.__new__(Diagram)
+    object.__setattr__(d, "n", n)
+    object.__setattr__(d, "steps", steps)
+    object.__setattr__(d, "_state", state)
+    return d
+
+
+def _vertex_id(steps: tuple) -> str:
+    if not steps:
+        return "root"
+    first = steps[0]
+    return " ".join((f"{first[0]}{first[1]}",) + steps[1:])
 
 
 def parse_id(text: str, n: int) -> Diagram:
@@ -184,23 +200,34 @@ def parse_id(text: str, n: int) -> Diagram:
 def children(d: Diagram) -> list[Diagram]:
     """Child vertices in the fixed order of `_moves`: initial dots then initial
     arcs for the root; arc above, dot left, dot right elsewhere; none at a leaf."""
-    return [d._kid(step, state) for step, state in _moves(d.n, d._state).items()]
+    return [_vertex(d.n, d.steps + (step,), state) for step, state in _moves(d.n, d._state).items()]
+
+
+def _walk(d: Diagram) -> Iterator[tuple[tuple, tuple, int, dict]]:
+    """The subtree at `d` in depth-first pre-order of the fixed child ordering:
+    each vertex's steps, state, depth below `d` and moves.  A vertex has no
+    moves exactly when it is a leaf."""
+    n = d.n
+    stack = [(d.steps, d._state, 0)]
+    while stack:
+        steps, state, depth = stack.pop()
+        moves = _moves(n, state)
+        yield steps, state, depth, moves
+        stack.extend((steps + (step,), kid, depth + 1) for step, kid in reversed(moves.items()))
 
 
 def preorder(root: Diagram) -> Iterator[tuple[Diagram, int, list[Diagram]]]:
     """The subtree at `root` in depth-first pre-order of the fixed child
     ordering: each vertex with its depth below `root` and its children."""
-    stack = [(root, 0)]
-    while stack:
-        d, depth = stack.pop()
-        kids = children(d)
-        yield d, depth, kids
-        stack.extend((kid, depth + 1) for kid in reversed(kids))
+    n = root.n
+    for steps, state, depth, moves in _walk(root):
+        yield (_vertex(n, steps, state), depth,
+               [_vertex(n, steps + (step,), kid) for step, kid in moves.items()])
 
 
 def enumerate_leaves(n: int) -> list[Diagram]:
     """All leaves in depth-first order of the fixed child ordering."""
-    return [d for d, _, _ in preorder(Diagram(n)) if d.is_leaf]
+    return [_vertex(n, steps, state) for steps, state, _, moves in _walk(Diagram(n)) if not moves]
 
 
 # --- rendering -------------------------------------------------------------
@@ -234,12 +261,19 @@ def render_ascii(d: Diagram) -> str:
 def render_dot(d: Diagram) -> str:
     """DOT graph of the subtree rooted at `d`, vertices labelled by id."""
     nodes = ["digraph diagram_tree {", "  node [shape=box fontname=\"monospace\"];"]
-    edges: list[str] = []
-    for v, _, kids in preorder(d):
-        shape = " style=bold" if v.is_leaf else ""
-        nodes.append(f'  "{v.id}" [label="{v.id}"{shape}];')
-        edges.extend(f'  "{v.id}" -> "{kid.id}";' for kid in kids)
-    return "\n".join(nodes + edges + ["}"])
+    edges: list[list[str]] = []  # per inner vertex in pre-order: its edges, filled by its children
+    path: list[tuple[str, list[str]]] = []  # (id, edges) of each vertex from d down
+    for steps, _, depth, moves in _walk(d):
+        vid = _vertex_id(steps)
+        nodes.append(f'  "{vid}" [label="{vid}"{"" if moves else " style=bold"}];')
+        del path[depth:]
+        if path:
+            parent, out = path[-1]
+            out.append(f'  "{parent}" -> "{vid}";')
+        if moves:
+            edges.append([])
+            path.append((vid, edges[-1]))
+    return "\n".join(nodes + [edge for out in edges for edge in out] + ["}"])
 
 
 def render(d: Diagram, format: str = "ascii") -> str:

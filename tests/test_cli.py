@@ -111,6 +111,13 @@ def test_verify_pass_and_fail(capsys):
     assert "counterexample" in err
 
 
+def test_corrupt_self_test_below_length_3_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "faithfulness", "--n", "3",
+                         "--max-len", "2", "--corrupt")
+    assert code == 2 and out == ""
+    assert "max_len >= 3" in err
+
+
 def test_verify_output_is_byte_stable(capsys):
     _, first, _ = run(capsys, "verify", "identity", "--samples", "30", "--seed", "5")
     _, second, _ = run(capsys, "verify", "identity", "--samples", "30", "--seed", "5")
@@ -206,7 +213,7 @@ GOLDEN = {
                           for leaf in enumerate_leaves(7)],
                          "f2ac3a82324c1ce5488a0b51d84cf6b29d661077c69f12ca0a5131ad1ea1c361"),
     "verify all --seed 0": ([("verify", "all", "--seed", "0")],
-                            "0225a873c04bd88cfa614e394d16f5ade898229c3023727206e6ac124bef253d"),
+                            "5481e441dca9136c7a9c5ad9e0448479d630651590614e1c28a4f71813223b46"),
     "repr": ([("repr", "-n", str(n), "--leaf", leaf.id)
               for n in range(3, 8) for leaf in enumerate_leaves(n)],
              "06745c72bb4b23fa7120e2ebb5463a1f204b0b25ea592372c7d050ba17ae5609"),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -56,6 +57,36 @@ def test_schema_counts_balance():
     for n in range(3, 9):
         for rep in leaf_representations(n):
             assert rep.c + 2 * rep.d == n
+
+
+def reference_build(leaf):
+    # Free generators as those no mark names, and the table by tuple
+    # concatenation, one mark at a time.
+    used = {g for mark in leaf.marks for g in mark[1:]}
+    schema, columns = (), ()
+    for mark in leaf.marks + tuple(("free", g) for g in range(1, leaf.n + 1) if g not in used):
+        mark_schema, mark_columns = _mark_table(leaf.n, mark)
+        schema += mark_schema
+        columns += mark_columns
+    return LeafRepresentation(leaf, schema, columns)
+
+
+def test_build_matches_the_used_set_reference():
+    for n in range(3, 13):
+        for leaf in enumerate_leaves(n):
+            rep, want = build_representation(leaf), reference_build(leaf)
+            assert (rep.schema, rep.columns) == (want.schema, want.columns), leaf.id
+            assert type(rep.schema) is type(rep.columns) is tuple
+
+
+def test_representations_are_frozen():
+    rep = rep_for("d2 A", 3)
+    for name in ("leaf", "schema", "columns"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, None)
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):  # see test_diagrams_are_frozen
+        rep.other = None
+    assert not hasattr(rep, "__dict__")
 
 
 def test_not_a_leaf():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from chinese_monoid.tree import (Diagram, MalformedDiagram, RankTooSmall,
                                  children, enumerate_leaves, parse_id,
-                                 preorder, render, render_ascii, tribonacci,
-                                 u_sequence)
+                                 preorder, render, render_ascii, render_dot,
+                                 tribonacci, u_sequence)
 
 
 # --- integer sequences -----------------------------------------------------
@@ -180,6 +181,55 @@ def test_preorder_yields_depths_and_children():
     assert all(kids == children(d) for d, _, kids in visits)
 
 
+def reference_preorder(d, depth=0):
+    # The tree grown by Diagram.child alone: every candidate step is tried,
+    # and the ones it refuses are dropped.
+    if d.is_root:
+        steps = [(kind, s) for kind in "da" for s in range(1, d.n + 1)]
+    else:
+        steps = ["A", "L", "R"]
+    kids = []
+    for step in steps:
+        try:
+            kids.append(d.child(step))
+        except MalformedDiagram:
+            pass
+    yield d, depth, kids
+    for kid in kids:
+        yield from reference_preorder(kid, depth + 1)
+
+
+def test_enumerate_leaves_matches_the_child_recursion():
+    for n in range(3, 17):
+        want = [d for d, _, kids in reference_preorder(Diagram(n)) if not kids]
+        got = enumerate_leaves(n)
+        assert got == want
+        assert [(d.steps, d.marks, d._state) for d in got] == \
+            [(d.steps, d.marks, d._state) for d in want]
+
+
+def test_preorder_matches_the_child_recursion():
+    for n in range(3, 10):
+        for start in (Diagram(n), *children(Diagram(n))):
+            assert [(d.id, depth, [kid.id for kid in kids])
+                    for d, depth, kids in preorder(start)] == \
+                [(d.id, depth, [kid.id for kid in kids])
+                 for d, depth, kids in reference_preorder(start)]
+
+
+def test_diagrams_are_frozen():
+    d = Diagram(4, (("a", 3),))
+    for name in ("n", "steps", "_state"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, None)
+    # A name that is no field is refused too, but CPython 3.11 raises
+    # TypeError there for a frozen dataclass with slots.
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        d.other = None
+    assert not hasattr(d, "__dict__")
+    assert Diagram(4).child(("a", 3)) == d and hash(Diagram(4).child(("a", 3))) == hash(d)
+
+
 # --- rendering ---------------------------------------------------------------
 
 def test_render_ascii_single_arc():
@@ -214,6 +264,22 @@ def test_render_dot_of_root():
     assert text.startswith("digraph")
     assert text.count("label=") == 5  # root + first level (3) + one leaf below d2
     assert '"d2" -> "d2 A"' in text
+
+
+def reference_dot(d):
+    nodes = ["digraph diagram_tree {", "  node [shape=box fontname=\"monospace\"];"]
+    edges = []
+    for v, _, kids in reference_preorder(d):
+        shape = " style=bold" if v.is_leaf else ""
+        nodes.append(f'  "{v.id}" [label="{v.id}"{shape}];')
+        edges.extend(f'  "{v.id}" -> "{kid.id}";' for kid in kids)
+    return "\n".join(nodes + edges + ["}"])
+
+
+def test_render_dot_matches_the_reference_on_every_subtree():
+    for n in range(3, 8):
+        for d, _, _ in preorder(Diagram(n)):
+            assert render_dot(d) == reference_dot(d), d.id
 
 
 def test_render_rejects_unknown_format():
