@@ -41,26 +41,3 @@ def adjan_check(x: Bicyclic, y: Bicyclic) -> bool:
     """xy^2x * xy * xy^2x == xy^2x * yx * xy^2x, true for every x, y in B."""
     outer = x * y * y * x
     return outer * (x * y) * outer == outer * (y * x) * outer
-
-
-def reduce_pq_string(text: str) -> Bicyclic:
-    """String-rewriting oracle: cancel "qp" in a p/q word until none is left.
-
-    The reduced word is always of the form p^i q^j; used by tests to
-    cross-check bmul on exhaustive small inputs.
-    """
-    letters = list(text)
-    if any(ch not in "pq" for ch in letters):
-        raise ValueError(f"not a p/q string: {text!r}")
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(len(letters) - 1):
-            if letters[pos] == "q" and letters[pos + 1] == "p":
-                del letters[pos:pos + 2]
-                changed = True
-                break
-    i = letters.count("p")
-    if letters != ["p"] * i + ["q"] * (len(letters) - i):
-        raise AssertionError(f"reduction left a non-canonical word: {''.join(letters)}")
-    return Bicyclic(i, len(letters) - i)

@@ -25,8 +25,9 @@ USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall, ClassCapExceede
 # tree and leaves walk the whole rank-n tree: the counts suite's bound
 MAX_TREE_RANK = harness.SUITES["counts"][1]["max_n"][2]
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
-MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # the closed form reads n(n-1)/2 projections per letter
+MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # eq's n(n-1)/2 projections per letter; normalize, mul too
 MAX_ORACLE_LETTERS = 64  # per word: the closure may hold DEFAULT_CAP words of this length
+WITNESS_MAX_LEN = harness.SUITES["incomparability"][1]["max_len"]  # (default, low, high)
 
 
 def _suite_flags() -> dict[str, dict[str, tuple]]:
@@ -89,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("witness", "word pair merged by one leaf congruence, split by another")
     cmd.add_argument("--leaf1", required=True)
     cmd.add_argument("--leaf2", required=True)
-    cmd.add_argument("--max-len", type=int, default=6,
-                     help="longest witness words accepted (>= 1); the pair built from "
-                          "the leaves' arcs has 2 or 3 letters")
+    cmd.add_argument("--max-len", type=int, default=WITNESS_MAX_LEN[0], help="longest witness "
+                     "words accepted ({1}..{2}, default {0}); the pair built from the leaves' "
+                     "arcs has 2 or 3 letters".format(*WITNESS_MAX_LEN))
 
     cmd = add("verify", "run a verification suite", rank=None)
     cmd.add_argument("suite", choices=harness.SUITE_NAMES + ("all",))
@@ -159,11 +160,7 @@ def _cmd_eq(args) -> int:
 
 def _cmd_tree(args) -> int:
     root = Diagram(args.rank)
-    if args.dot:
-        print(render(root, "dot"))
-        return 0
-    for d, depth, _ in tree.preorder(root):
-        print("  " * depth + d.id + (" *" if d.is_leaf else ""))
+    print(render(root, "dot") if args.dot else tree.render_outline(root))
     return 0
 
 
@@ -212,8 +209,10 @@ def _cmd_image(args) -> int:
 
 def _cmd_witness(args) -> int:
     n = args.rank
-    if args.max_len < 1:
-        raise harness.BoundsExceeded(f"witness needs --max-len >= 1, got {args.max_len}")
+    _, low, high = WITNESS_MAX_LEN
+    if not low <= args.max_len <= high:
+        raise harness.BoundsExceeded(
+            f"witness needs {low} <= --max-len <= {high}, got {args.max_len}")
     r1 = build_representation(parse_id(args.leaf1, n))
     r2 = build_representation(parse_id(args.leaf2, n))
     found = incomparability_witness(r1, r2, args.max_len)

@@ -10,10 +10,11 @@ the identity.  Every class contains a unique word matching the triangular
 
     b_1 b_2 ... b_n,   b_r = (a_r a_1)^k[r][1] (a_r a_2)^k[r][2] ... a_r^k[r][r],
 
-which serves as the canonical form.  `to_staircase` decodes its exponents
-from the letter counts and the bicyclic projections of the word, in time
-polynomial in n and |w|; `boxplus_failures` compares these invariants.  The
-breadth-first closure of the relations (`congruence_class`, `eq_oracle`)
+which serves as the canonical form.  `to_staircase` and `multiply` insert
+one letter at a time into its exponents, in O(n) per letter.  The letter
+counts and bicyclic projections (`projection_q`), which `boxplus_failures`
+compares, fix the same exponents by another route: the independent check.
+The breadth-first closure of the relations (`congruence_class`, `eq_oracle`)
 is the correctness oracle the tests and suites check everything else
 against: slow but correct by construction at desk scale.  It sorts each
 length-3 factor into i <= k <= j and, if the factor is (j,i,k), (j,k,i) or
@@ -200,7 +201,7 @@ class StaircaseForm:
         for i, row in enumerate(self.k, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries")
-            if any(e < 0 for e in row):
+            if min(row) < 0:
                 raise ValueError("exponents must be nonnegative")
 
     @classmethod
@@ -234,29 +235,6 @@ class StaircaseForm:
         return cls(int(data["n"]), tuple(tuple(int(e) for e in row) for row in data["k"]))
 
 
-def decode_staircase(word: Word, n: int) -> tuple[tuple[int, ...], ...] | None:
-    """Read `word` as a staircase expansion, or return None if it is not one.
-
-    The expansion grammar is unambiguous: inside block r the pairs (r, j)
-    appear with j ascending, single letters r come last, and block r+1 starts
-    with a letter > r.
-    """
-    rows = [[0] * (i + 1) for i in range(n)]
-    pos = 0
-    size = len(word)
-    for r in range(1, n + 1):
-        for j in range(1, r):
-            while pos + 1 < size and word[pos] == r and word[pos + 1] == j:
-                rows[r - 1][j - 1] += 1
-                pos += 2
-        while pos < size and word[pos] == r:
-            rows[r - 1][r - 1] += 1
-            pos += 1
-    if pos != size:
-        return None
-    return tuple(tuple(row) for row in rows)
-
-
 def projection_q(word: Word, x: int, y: int) -> int:
     """q-exponent of the image of `word` in the bicyclic monoid under
     a_g -> p (g <= x), 1 (x < g < y), q (g >= y); qp = 1 cancels."""
@@ -286,36 +264,51 @@ def _pq_image(word: Word, x: int, y: int) -> tuple[int, int]:
 def to_staircase(word: Word, n: int) -> StaircaseForm:
     """Canonical form of `word` in the Chinese monoid of rank n.
 
-    Decoded from invariants of the class: the letter counts and, for
-    1 <= x < y <= n, the bicyclic projection B(x, y) = `projection_q`.  Each
-    projection is a bicyclic component of a leaf representation, hence a
-    homomorphism, so all of them are constant on the class; on the staircase
-    word they determine the exponents linearly.  A decoding error shows as a
-    negative exponent, which StaircaseForm rejects.
+    The letters are inserted one at a time into the identity's triangle
+    (Cassaigne, Espie, Krob, Novelli and Hivert, "The Chinese monoid", IJAC
+    11, 2001), by `_insert`; no projection is read.
     """
     check_letters(word, n)
-    b = {(x, y): projection_q(word, x, y)
-         for y in range(2, n + 1) for x in range(1, y)}
-
-    def col(y: int, j: int) -> int:  # sum of k[r][j] over the rows r >= y > j
-        return b[j - 1, y] - b[j, y] if y <= n else 0
-
-    k = [[0] * r for r in range(1, n + 1)]
-    for r in range(2, n + 1):
-        for j in range(2, r):
-            k[r - 1][j - 1] = col(r, j) - col(r + 1, j)
-        k[r - 1][r - 1] = b[r - 1, r] - b.get((r, r + 1), 0) - 2 * col(r + 1, r)
-    for r in range(n, 0, -1):  # column 1 (and k[1][1]) from the letter counts
-        below = sum(k[s - 1][r - 1] for s in range(r + 1, n + 1))
-        k[r - 1][0] = word.count(r) - sum(k[r - 1][1:]) - below
-    return StaircaseForm(n, tuple(map(tuple, k)))
+    return _insert(n, [[0] * r for r in range(1, n + 1)], word)
 
 
 def multiply(f: StaircaseForm, g: StaircaseForm) -> StaircaseForm:
-    """Product of canonical forms: concatenate expansions, renormalize."""
+    """Product of canonical forms: g's letters inserted into f's triangle."""
     if f.n != g.n:
         raise ValueError(f"rank mismatch: {f.n} != {g.n}")
-    return to_staircase(f.expand() + g.expand(), f.n)
+    return _insert(f.n, [list(row) for row in f.k], g.expand())
+
+
+def _insert(n: int, k: list[list[int]], word: Word) -> StaircaseForm:
+    # Appends each letter x of `word` to the triangle k (rows as lists, changed
+    # in place): in the first row r = n, n-1, ..., x+1 with a nonzero cell
+    # (r, j), j > x, one unit moves from the least such (r, j) to (r, x).  A
+    # single a_r (j = r) ends there; a pair a_r a_j carries x := j on in the
+    # same row r.  With no such row, k[x][x] grows.  top[r] is the column of
+    # the last nonzero cell of row r (0 if none), so a letter costs O(n).
+    top = [0] + [max((j for j, e in enumerate(row, 1) if e), default=0) if any(row) else 0
+                 for row in k]
+    for x in word:
+        r = n
+        while r > x:
+            if top[r] <= x:
+                r -= 1
+                continue
+            row = k[r - 1]
+            j = x + 1
+            while not row[j - 1]:
+                j += 1
+            row[j - 1] -= 1
+            row[x - 1] += 1
+            if top[r] == j and not row[j - 1]:
+                top[r] = x  # cells x+1..j-1 of row r are empty
+            if j == r:
+                break
+            x = j
+        else:
+            k[x - 1][x - 1] += 1
+            top[x] = x
+    return StaircaseForm(n, tuple(map(tuple, k)))
 
 
 def count_classes(n: int, length: int) -> int:
@@ -405,9 +398,9 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
         the normal forms of  a_i a_j w a_k a_l  and  a_j a_i w a_l a_k
         form the same multiset as those of  a_i a_j w a_l a_k  and
         a_j a_i w a_k a_l.
-    Each word is compared by the invariant `to_staircase` decodes: its letter
-    counts and projections B(x, y), 1 <= x < y <= n.  It fixes the normal
-    form one to one, so no form is decoded.  The four words have the same
+    Each word is compared by its letter counts and projections B(x, y),
+    1 <= x < y <= n, which fix the normal form one to one, so no form is
+    built.  The four words have the same
     letters, so the counts drop out.  Each projection is a homomorphism to
     the bicyclic monoid, so w's image p^c q^d under each B(x, y) is a pair
     of ints, and each word's image is head image * w image * tail image.

@@ -176,7 +176,8 @@ def eq_via_embedding(n: int, w: Word, v: Word) -> bool:
     separates w and v: the letter counts, then each bicyclic projection
     (x, y) by its q-exponent, which with equal counts fixes the p-exponent.
     This decides equality at every rank, below 3 too, where no leaf exists:
-    `core.to_staircase` decodes the normal form from the same numbers.
+    these numbers fix the staircase exponents, which `core.to_staircase`
+    builds by letter insertion instead, so each method checks the other.
     """
     check_letters(w + v, n)
     if sorted(w) != sorted(v):

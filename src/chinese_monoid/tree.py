@@ -15,10 +15,10 @@ state, each with the child's state.  `Diagram` and `Diagram.child` follow
 the steps they are given through it, and `children` lists its moves.
 
 One walk, `_walk`, visits a subtree in pre-order over states alone;
-`preorder`, `enumerate_leaves` and `render_dot` all run on it, and a
+`preorder`, `enumerate_leaves` and the renderings run on it, and a
 `Diagram` is built only where a caller reads one: for every vertex and its
 children in `preorder`, for the leaves alone in `enumerate_leaves`, and
-nowhere in `render_dot`, which builds each vertex id once from its steps.
+nowhere in `render_dot` or `render_outline`, which build each id once.
 
 Vertices are written as ids like "d2 A L": initial token d<s> or a<s>, then
 A (arc above), L (dot left), R (dot right).
@@ -274,6 +274,13 @@ def render_dot(d: Diagram) -> str:
             edges.append([])
             path.append((vid, edges[-1]))
     return "\n".join(nodes + [edge for out in edges for edge in out] + ["}"])
+
+
+def render_outline(d: Diagram) -> str:
+    """The subtree rooted at `d` in pre-order, one id per line, indented two
+    spaces per level below `d`; a leaf's id ends in " *"."""
+    return "\n".join("  " * depth + _vertex_id(steps) + ("" if moves else " *")
+                     for steps, _, depth, moves in _walk(d))
 
 
 def render(d: Diagram, format: str = "ascii") -> str:

@@ -8,13 +8,13 @@ import time
 
 import pytest
 
-from chinese_monoid.core import (congruence_class, decode_staircase,
-                                 eq_oracle, words_up_to)
+from chinese_monoid.core import congruence_class, eq_oracle, words_up_to
 from chinese_monoid.harness import run_suite
 from chinese_monoid.representation import (arc_unit_tuple, arc_element_image,
                                            eq_via_embedding, image,
                                            leaf_representations)
 from chinese_monoid.tree import enumerate_leaves, tribonacci
+from oracles import decode_staircase
 
 
 @pytest.fixture

@@ -139,9 +139,10 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a2")
     assert code == 2 and "must differ" in err
-    code, out, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a3",
-                         "--max-len", "-1")
-    assert code == 2 and "max-len" in err and out == ""
+    for max_len in ("-1", "4"):
+        code, out, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a3",
+                             "--max-len", max_len)
+        assert code == 2 and "1 <= --max-len <= 3" in err and out == ""
     code, out, err = run(capsys, "tree", "-n", "17")
     assert code == 2 and "n <= 16" in err and out == ""
     code, out, err = run(capsys, "leaves", "-n", "17")
@@ -170,14 +171,30 @@ def test_usage_errors_exit_2(capsys):
 
 def test_witness_answers_at_the_largest_rank(capsys):
     # The pair is built from the leaves' arcs, so neither the rank nor
-    # --max-len bounds the work; --max-len only has to be at least 1.
+    # --max-len bounds the work; --max-len is 1..3, the pair's 2 or 3 letters.
     code, out, _ = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000",
                        "--max-len", "2")
     assert code == 0
     assert out.splitlines()[:2] == ["w = 999 1000", "v = 1000 999"]
-    code, out, err = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000",
-                         "--max-len", "0")
-    assert code == 2 and "--max-len >= 1" in err and out == ""
+    code, out, _ = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000",
+                       "--max-len", "1")
+    assert code == 1 and out == "no witness up to length 1\n"
+
+
+def test_witness_refuses_max_len_before_any_table(capsys, monkeypatch):
+    import chinese_monoid.cli as cli
+
+    def forbidden(*args):
+        raise AssertionError("built a leaf table")
+    monkeypatch.setattr(cli, "build_representation", forbidden)
+    for max_len in ("0", "4", "100"):
+        code, out, err = run(capsys, "witness", "-n", "1000", "--leaf1", "a2",
+                             "--leaf2", "a1000", "--max-len", max_len)
+        assert code == 2 and out == ""
+        assert f"witness needs 1 <= --max-len <= 3, got {max_len}" in err
+    with pytest.raises(SystemExit):
+        main(["witness", "--help"])
+    assert "(1..3, default 3)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_the_oracle_is_not_bounded_by_projections(capsys):
@@ -217,8 +234,8 @@ GOLDEN = {
     "repr": ([("repr", "-n", str(n), "--leaf", leaf.id)
               for n in range(3, 8) for leaf in enumerate_leaves(n)],
              "06745c72bb4b23fa7120e2ebb5463a1f204b0b25ea592372c7d050ba17ae5609"),
-    "witness": ([("witness", "-n", str(n), "--leaf1", a.id, "--leaf2", b.id, "--max-len", str(m))
-                 for n, m in ((4, 6), (5, 5))
+    "witness": ([("witness", "-n", str(n), "--leaf1", a.id, "--leaf2", b.id)
+                 for n in (4, 5)
                  for a in enumerate_leaves(n) for b in enumerate_leaves(n) if a != b],
                 "808d60747ae9e258cbea394c1bab024a3a22796c2c2533b0a2f7e1c7f3886846"),
 }

@@ -9,12 +9,12 @@ from chinese_monoid import core, harness
 from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
                                  StaircaseForm, WordSyntaxError, boxplus_failures,
                                  boxplus_tuples, congruence_class, count_classes,
-                                 decode_staircase, eq_oracle,
-                                 first_level_pairs, format_word, multiply,
+                                 eq_oracle, first_level_pairs, format_word, multiply,
                                  parse_word, projection_q, to_staircase,
                                  verify_boxplus, words_up_to)
-from chinese_monoid.bicyclic import Bicyclic, reduce_pq_string
+from chinese_monoid.bicyclic import Bicyclic
 from chinese_monoid.representation import eq_via_embedding
+from oracles import decode_staircase, reduce_pq_string, reference_staircase
 
 words3 = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 
@@ -218,7 +218,7 @@ def test_expansion_roundtrip(form):
 
 
 def test_staircase_uniqueness_small():
-    # Every class has exactly one staircase member, and the closed form finds
+    # Every class has exactly one staircase member, and the insertion finds
     # it: all 14,464 words of these (rank, max length) pairs.
     for n, max_len in ((1, 6), (2, 7), (3, 7), (4, 6), (5, 5), (6, 4)):
         staircase: dict = {}
@@ -237,6 +237,72 @@ def test_staircase_uniqueness_small():
 def test_staircase_agrees_with_leaf_product(n, data):
     word = data.draw(long_words(n))
     assert eq_via_embedding(n, to_staircase(word, n).expand(), word)
+
+
+def triangles(n, max_weight):
+    """Every staircase form of rank n and weight <= max_weight."""
+    cells = [1 if j == r else 2 for r in range(1, n + 1) for j in range(1, r + 1)]
+
+    def fill(i, budget):
+        if i == len(cells):
+            yield ()
+            return
+        for e in range(budget // cells[i] + 1):
+            for rest in fill(i + 1, budget - e * cells[i]):
+                yield (e,) + rest
+
+    for flat in fill(0, max_weight):
+        yield StaircaseForm(n, tuple(flat[r * (r - 1) // 2:r * (r + 1) // 2]
+                                     for r in range(1, n + 1)))
+
+
+def sparse_forms(n):
+    """Forms with up to 30 nonzero cells anywhere in the triangle."""
+    cell = st.integers(1, n).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r)))
+
+    def build(entries):
+        k = [[0] * r for r in range(1, n + 1)]
+        for (r, j), e in entries:
+            k[r - 1][j - 1] += e
+        return StaircaseForm(n, tuple(map(tuple, k)))
+    return st.lists(st.tuples(cell, st.integers(1, 3)), max_size=30).map(build)
+
+
+def test_reference_staircase_inverts_the_expansion():
+    # The reference is pinned on its own: it reads every triangle back from
+    # the triangle's expansion.
+    for n, max_weight in ((1, 6), (2, 6), (3, 5), (4, 4)):
+        forms = list(triangles(n, max_weight))
+        assert len(forms) == sum(count_classes(n, t) for t in range(max_weight + 1))
+        for form in forms:
+            assert reference_staircase(form.expand(), n) == form.k, (n, form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), max_size=200).map(tuple))))
+def test_staircase_matches_the_projection_decode(case):
+    n, word = case
+    assert to_staircase(word, n).k == reference_staircase(word, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(sparse_forms(n), sparse_forms(n))))
+def test_multiply_matches_the_projection_decode(forms):
+    f, g = forms
+    assert multiply(f, g).k == reference_staircase(f.expand() + g.expand(), f.n)
+
+
+def test_every_single_letter_insertion_matches_the_projection_decode():
+    # Each letter appended to every form of weight <= 5: one insertion from
+    # every small triangle, so every short bump chain is taken.
+    for n in (3, 4):
+        letters = [StaircaseForm(n, tuple(tuple(int(r == j == x) for j in range(1, r + 1))
+                                          for r in range(1, n + 1)))
+                   for x in range(1, n + 1)]
+        for f in triangles(n, 5):
+            for x, g in enumerate(letters, start=1):
+                assert multiply(f, g).k == reference_staircase(f.expand() + (x,), n), (f, x)
 
 
 def test_staircase_validation():

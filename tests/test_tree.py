@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chinese_monoid.tree import (Diagram, MalformedDiagram, RankTooSmall,
                                  children, enumerate_leaves, parse_id,
                                  preorder, render, render_ascii, render_dot,
-                                 tribonacci, u_sequence)
+                                 render_outline, tribonacci, u_sequence)
 
 
 # --- integer sequences -----------------------------------------------------
@@ -280,6 +280,14 @@ def test_render_dot_matches_the_reference_on_every_subtree():
     for n in range(3, 8):
         for d, _, _ in preorder(Diagram(n)):
             assert render_dot(d) == reference_dot(d), d.id
+
+
+def test_render_outline_matches_the_reference_on_every_subtree():
+    for n in range(3, 8):
+        for d, _, _ in preorder(Diagram(n)):
+            want = "\n".join("  " * depth + v.id + (" *" if v.is_leaf else "")
+                             for v, depth, _ in reference_preorder(d))
+            assert render_outline(d) == want, d.id
 
 
 def test_render_rejects_unknown_format():
