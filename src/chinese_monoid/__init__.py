@@ -1,7 +1,6 @@
 """Chinese monoid of rank n: canonical forms, the diagram tree, bicyclic
 representations, and a desk-scale verification harness."""
 
-from .bicyclic import Bicyclic, adjan_check, bmul
 from .core import (DEFAULT_CAP, ClassCapExceeded, IndexConstraintViolated,
                    StaircaseForm, Word, WordSyntaxError, congruence_class,
                    count_classes, eq_oracle, first_level_pairs, format_word,
@@ -15,7 +14,6 @@ from .tree import (Diagram, MalformedDiagram, RankTooSmall, children,
                    enumerate_leaves, parse_id, render, tribonacci, u_sequence)
 
 __all__ = [
-    "Bicyclic", "adjan_check", "bmul",
     "DEFAULT_CAP", "ClassCapExceeded", "IndexConstraintViolated",
     "StaircaseForm", "Word", "WordSyntaxError", "congruence_class",
     "count_classes", "eq_oracle", "first_level_pairs", "format_word",

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success (and suite pass), 1 suite failure or tripwire
-disagreement, 2 usage errors.  JSON goes to stdout, diagnostics to stderr.
+disagreement, 2 usage errors, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early.  JSON goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness, representation as rep_mod, tree
@@ -271,10 +273,17 @@ def main(argv: list[str] | None = None) -> int:
         bound = MAX_TREE_RANK if args.command in ("tree", "leaves") else MAX_RANK
         if getattr(args, "rank", 0) > bound:
             raise harness.BoundsExceeded(f"{args.command} needs n <= {bound}, got {args.rank}")
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left (`tree -n 16 | head -1`): the Python docs' recipe
+        # points stdout at devnull, so the exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ the identity.  Every class contains a unique word matching the triangular
 
 which serves as the canonical form.  `to_staircase` and `multiply` insert
 one letter at a time into its exponents, in O(n) per letter.  The letter
-counts and bicyclic projections (`projection_q`), which `boxplus_failures`
-compares, fix the same exponents by another route: the independent check.
+counts and the bicyclic projections (`projection`, each word's image in B
+as a (p, q) pair), which `boxplus_failures` and
+`representation.eq_via_embedding` compare, fix the same exponents by
+another route: the independent check.
 The breadth-first closure of the relations (`congruence_class`, `eq_oracle`)
 is the correctness oracle the tests and suites check everything else
 against: slow but correct by construction at desk scale.  It sorts each
@@ -235,30 +237,19 @@ class StaircaseForm:
         return cls(int(data["n"]), tuple(tuple(int(e) for e in row) for row in data["k"]))
 
 
-def projection_q(word: Word, x: int, y: int) -> int:
-    """q-exponent of the image of `word` in the bicyclic monoid under
+def projection(word: Word, x: int, y: int) -> tuple[int, int]:
+    """(i, j) with p^i q^j the image of `word` in the bicyclic monoid under
     a_g -> p (g <= x), 1 (x < g < y), q (g >= y); qp = 1 cancels."""
-    q = 0
+    i = j = 0
     for g in word:
         if g >= y:
-            q += 1
-        elif g <= x and q:
-            q -= 1
-    return q
-
-
-def _pq_image(word: Word, x: int, y: int) -> tuple[int, int]:
-    # (a, b) with p^a q^b the image of `word` under B(x, y); b = projection_q.
-    a = b = 0
-    for g in word:
-        if g >= y:
-            b += 1
+            j += 1
         elif g <= x:
-            if b:
-                b -= 1
+            if j:
+                j -= 1
             else:
-                a += 1
-    return a, b
+                i += 1
+    return i, j
 
 
 def to_staircase(word: Word, n: int) -> StaircaseForm:
@@ -435,7 +426,7 @@ def boxplus_failures(n: int, words: Sequence[Word],
         if x is not None and not 1 <= x <= n:
             raise IndexConstraintViolated(f"index {x} outside 1..{n}")
     pairs = [(x, y) for y in range(2, n + 1) for x in range(1, y)]
-    images = {(x, y): [_pq_image(w, x, y) for w in words] for x, y in pairs}
+    images = {(x, y): [projection(w, x, y) for w in words] for x, y in pairs}
     for variant, indices in tuples:
         admissible, m_first = _boxplus_rule(variant)
         i, j, k, l, m = map(indices.get, "ijklm")
@@ -448,8 +439,8 @@ def boxplus_failures(n: int, words: Sequence[Word],
         h1, h2 = prefix + (i, j), prefix + (j, i)
         t1, t2 = (k, l) + suffix, (l, k) + suffix
         (hlo, hhi), (tlo, thi) = sorted((i, j)), sorted((k, l))
-        kept = [(images[x, y], projection_q(h1, x, y), projection_q(h2, x, y),
-                 *_pq_image(t1, x, y), *_pq_image(t2, x, y))
+        kept = [(images[x, y], projection(h1, x, y)[1], projection(h2, x, y)[1],
+                 *projection(t1, x, y), *projection(t2, x, y))
                 for x, y in pairs  # elsewhere heads and tails commute: four equal images
                 if hlo <= x and y <= hhi or tlo <= x and y <= thi]
         for index, w in enumerate(words):
@@ -457,7 +448,7 @@ def boxplus_failures(n: int, words: Sequence[Word],
             for image, g1, g2, e1, f1, e2, f2 in kept:
                 # w -> p^c q^d and each tail -> p^e q^f; a head's p-exponent
                 # stays in front, so head * w -> p^. q^b and head * w * tail
-                # -> p^. q^(f + max(0, b - e)), as in bicyclic.bmul, with max
+                # -> p^. q^(f + max(0, b - e)), as `bicyclic.product` folds it,
                 # inlined.  v1, v3 = ij w kl, ij w lk; v2, v4 = ji w lk, ji w kl.
                 c, d = image[index]
                 b1, b2 = (d + g1 - c if g1 > c else d), (d + g2 - c if g2 > c else d)

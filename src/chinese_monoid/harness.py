@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import core, representation as rep_mod
-from .bicyclic import Bicyclic
 from .core import congruence_class, eq_oracle, first_level_pairs, words_up_to
 from .representation import (arc_unit_tuple, arc_element_image, image,
                              incomparability_witness, leaf_representations)
@@ -104,7 +103,7 @@ def _corrupt_one(reps, rng: random.Random):
     x, y = rep.leaf.arcs[0]
     comp_idx = rep.schema.index(rep_mod.Component("B", ("arc", x, y)))
     bad = list(rep.columns[comp_idx])  # a copy: the leaves of a rank share the column
-    bad[x - 1] = Bicyclic(2, 0)
+    bad[x - 1] = (2, 0)  # p^2
     columns = rep.columns[:comp_idx] + (tuple(bad),) + rep.columns[comp_idx + 1:]
     reps[idx] = rep_mod.LeafRepresentation(rep.leaf, rep.schema, columns)
     return tuple(reps), rep.leaf.id

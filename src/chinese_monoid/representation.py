@@ -7,23 +7,23 @@ generator-image table, one column per component:
 
   * a dot on s: a natural component, the unit column (a_s -> 1, else 0);
   * an arc (x, y): a bicyclic component with a_g -> p for g <= x, 1 for
-    x < g < y and q for g >= y, which is the rule of `core.projection_q`
+    x < g < y and q for g >= y, which is the rule of `core.projection`
     by definition (the generators under an arc are the ones already used),
     then an integer component, the unit column at x;
   * each generator no mark uses, that is each outside the leaf's used
     interval [u, v] (its marks use exactly u..v): a trailing natural unit
     column (it generates a free commutative factor).
 
-A table is stored by its columns (`images` is a row view), and each mark's
-components and columns come from a memo bounded by one tree rank's marks, so
-the T_n leaves of rank n share them.  Their distinct columns are the n letter
-counts and the projections (x, y) for 1 <= x < y <= n (pinned by
-`test_leaf_table_columns_are_the_projections`).  The product of the images
-over all leaves decides word equality exactly, and each component depends
-only on its column: N and Z columns add ints along the word, B columns fold
-bicyclic pairs.  So `eq_via_embedding`, the fast counterpart of the
-breadth-first oracle in `core`, compares those columns alone: O(n^2 |w|),
-with no per-rank set-up.  A witness that one leaf's congruence is not
+A table is stored by its columns, with a bicyclic entry p^i q^j as the int
+pair (i, j), and each mark's components and columns come from a memo bounded
+by one tree rank's marks, so the T_n leaves of rank n share them.  Their
+distinct columns are the n letter counts and the projections (x, y) for
+1 <= x < y <= n (pinned by `test_leaf_table_columns_are_the_projections`).
+The product of the images over all leaves decides word equality exactly, and
+each component depends only on its column: N and Z columns add ints along
+the word, B columns multiply pairs by `bicyclic.product`.  So
+`eq_via_embedding`, the fast counterpart of the breadth-first oracle in
+`core`, compares those columns alone: O(n^2 |w|), with no per-rank set-up.  A witness that one leaf's congruence is not
 contained in another's is built from the two leaves' arcs, in two or three
 letters.
 """
@@ -35,8 +35,8 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bicyclic import IDENTITY, P, Q, Bicyclic
-from .core import Word, check_letters, projection_q
+from .bicyclic import IDENTITY, P, Q, product
+from .core import Word, check_letters, projection
 from .tree import Diagram, enumerate_leaves
 
 
@@ -60,7 +60,7 @@ class Component(NamedTuple):
         return " ".join(str(part) for part in self.origin)
 
 
-ImageTuple = tuple  # entries: int for N/Z components, Bicyclic for B
+ImageTuple = tuple  # entries: int for N/Z components, (p, q) pair for B
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,25 +83,8 @@ class LeafRepresentation:
         """Number of (bicyclic, integer) component pairs."""
         return sum(1 for comp in self.schema if comp.kind == "B")
 
-    @property
-    def images(self) -> tuple[ImageTuple, ...]:
-        """The table by rows, a view: index g-1 holds the image of generator g."""
-        return tuple(zip(*self.columns))
-
     def image_of(self, g: int) -> ImageTuple:
         return tuple(column[g - 1] for column in self.columns)
-
-
-def identity_tuple(schema: tuple[Component, ...]) -> ImageTuple:
-    return tuple(IDENTITY if comp.kind == "B" else 0 for comp in schema)
-
-
-def tuple_mul(schema: tuple[Component, ...], a: ImageTuple, b: ImageTuple) -> ImageTuple:
-    """Componentwise product of two images; the tests fold it as `image`'s reference."""
-    return tuple(
-        x * y if comp.kind == "B" else x + y
-        for comp, x, y in zip(schema, a, b)
-    )
 
 
 # 256: room for every mark of one tree rank (150 at n = 16), so all its leaves
@@ -137,30 +120,12 @@ def build_representation(leaf: Diagram) -> LeafRepresentation:
     return LeafRepresentation(leaf, tuple(schema), tuple(columns))
 
 
-def _column_value(kind: str, entries: list) -> int | Bicyclic:
-    """Value of one component on a word, given its table entries along the word.
-
-    N and Z entries add.  B entries multiply in order, folded on the
-    exponents by the rule of `bicyclic.bmul`: any p^k q^l entry is allowed.
-    """
-    if kind != "B":
-        return sum(entries)
-    i = j = 0
-    for entry in entries:
-        k, l = entry.i, entry.j
-        if j >= k:
-            j += l - k
-        else:
-            i += k - j
-            j = l
-    return Bicyclic(i, j)
-
-
 def image(rep: LeafRepresentation, word: Word) -> ImageTuple:
-    """Componentwise product of the generator images along the word."""
+    """Componentwise product of the generator images along the word: each B
+    column's entries by `bicyclic.product`, each N or Z column's by `sum`."""
     check_letters(word, rep.n)
     at = [letter - 1 for letter in word]
-    return tuple(_column_value(comp.kind, [column[i] for i in at])
+    return tuple((product if comp.kind == "B" else sum)(map(column.__getitem__, at))
                  for comp, column in zip(rep.schema, rep.columns))
 
 
@@ -174,7 +139,7 @@ def eq_via_embedding(n: int, w: Word, v: Word) -> bool:
 
     Only the distinct table columns are compared, stopping at the first that
     separates w and v: the letter counts, then each bicyclic projection
-    (x, y) by its q-exponent, which with equal counts fixes the p-exponent.
+    (x, y) as its (p, q) pair.
     This decides equality at every rank, below 3 too, where no leaf exists:
     these numbers fix the staircase exponents, which `core.to_staircase`
     builds by letter insertion instead, so each method checks the other.
@@ -182,7 +147,7 @@ def eq_via_embedding(n: int, w: Word, v: Word) -> bool:
     check_letters(w + v, n)
     if sorted(w) != sorted(v):
         return False
-    return all(projection_q(w, x, y) == projection_q(v, x, y)
+    return all(projection(w, x, y) == projection(v, x, y)
                for y in range(2, n + 1) for x in range(1, y))
 
 
@@ -202,7 +167,7 @@ def arc_unit_tuple(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTuple:
     """The expected arc-element image: 1 in the arc's own integer component."""
     return tuple(
         1 if comp.kind == "Z" and comp.origin == ("arc",) + arc else entry
-        for comp, entry in zip(rep.schema, identity_tuple(rep.schema))
+        for comp, entry in zip(rep.schema, image(rep, ()))
     )
 
 
@@ -242,14 +207,16 @@ def image_str(rep: LeafRepresentation, value: ImageTuple) -> str:
     parts = []
     for comp, entry in zip(rep.schema, value):
         if comp.kind == "B":
-            parts.append(f"B:p^{entry.i}q^{entry.j}")
+            parts.append(f"B:p^{entry[0]}q^{entry[1]}")
         else:
             parts.append(f"{comp.kind}:{entry}")
     return "(" + ", ".join(parts) + ")"
 
 
 def image_json(rep: LeafRepresentation, value: ImageTuple) -> list:
-    return [entry.as_dict() if isinstance(entry, Bicyclic) else entry for entry in value]
+    """JSON form: {"p": i, "q": j} for a bicyclic entry, the int otherwise."""
+    return [{"p": entry[0], "q": entry[1]} if comp.kind == "B" else entry
+            for comp, entry in zip(rep.schema, value)]
 
 
 def representation_json(rep: LeafRepresentation) -> dict:

@@ -1,7 +1,8 @@
-"""Slow, independent oracles the tests check the package against."""
+"""Slow, independent oracles the tests check the package against, and the
+componentwise image product the tests fold as `image`'s reference."""
 
-from chinese_monoid.bicyclic import Bicyclic
-from chinese_monoid.core import projection_q
+from chinese_monoid.bicyclic import IDENTITY, product
+from chinese_monoid.core import projection
 
 
 def decode_staircase(word, n):
@@ -30,8 +31,8 @@ def decode_staircase(word, n):
 def reduce_pq_string(text):
     """String-rewriting oracle: cancel "qp" in a p/q word until none is left.
 
-    The reduced word is always of the form p^i q^j; it cross-checks bmul
-    and the bicyclic projections on exhaustive small inputs.
+    The reduced word is always of the form p^i q^j, returned as the pair
+    (i, j); it cross-checks `bicyclic.product` and the bicyclic projections.
     """
     letters = list(text)
     if any(ch not in "pq" for ch in letters):
@@ -47,7 +48,7 @@ def reduce_pq_string(text):
     i = letters.count("p")
     if letters != ["p"] * i + ["q"] * (len(letters) - i):
         raise AssertionError(f"reduction left a non-canonical word: {''.join(letters)}")
-    return Bicyclic(i, len(letters) - i)
+    return i, len(letters) - i
 
 
 def reference_staircase(word, n):
@@ -55,7 +56,7 @@ def reference_staircase(word, n):
     bicyclic projections B(x, y) of `word`, a path independent of the
     insertion in `to_staircase`.  Each projection is constant on the class,
     and on the staircase word they fix the exponents linearly."""
-    b = {(x, y): projection_q(word, x, y)
+    b = {(x, y): projection(word, x, y)[1]
          for y in range(2, n + 1) for x in range(1, y)}
 
     def col(y, j):  # sum of k[r][j] over the rows r >= y > j
@@ -70,3 +71,27 @@ def reference_staircase(word, n):
         below = sum(k[s - 1][r - 1] for s in range(r + 1, n + 1))
         k[r - 1][0] = word.count(r) - sum(k[r - 1][1:]) - below
     return tuple(map(tuple, k))
+
+
+def bicyclic_mul(x, y):
+    """p^i q^j * p^k q^l in closed form: the middle q^j p^k cancels to
+    p^max(0, k-j) or q^max(0, j-k)."""
+    (i, j), (k, l) = x, y
+    return i + max(0, k - j), l + max(0, j - k)
+
+
+def identity_tuple(schema):
+    """The identity image of a leaf schema: IDENTITY in B, 0 elsewhere."""
+    return tuple(IDENTITY if comp.kind == "B" else 0 for comp in schema)
+
+
+def tuple_mul(schema, a, b):
+    """Componentwise product of two images, B entries by `bicyclic_mul`."""
+    return tuple(bicyclic_mul(x, y) if comp.kind == "B" else x + y
+                 for comp, x, y in zip(schema, a, b))
+
+
+def adjan_check(x, y):
+    """xy^2x * xy * xy^2x == xy^2x * yx * xy^2x, true for every x, y in B."""
+    outer = (x, y, y, x)
+    return product(outer + (x, y) + outer) == product(outer + (y, x) + outer)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chinese_monoid
 from chinese_monoid import harness
 from chinese_monoid.cli import main
 from chinese_monoid.tree import enumerate_leaves
@@ -96,6 +101,18 @@ def test_tree_ascii_and_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert out.count("label=") == 5
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # `chinese-monoid tree -n 16 | head -1`: the listing (about 680 kB) is
+    # far more than a pipe holds, so the writer meets the closed pipe.
+    env = {**os.environ, "PYTHONPATH": str(Path(chinese_monoid.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "chinese_monoid.cli", "tree", "-n", "16"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"root\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+    assert proc.returncode == 141
 
 
 def test_verify_pass_and_fail(capsys):

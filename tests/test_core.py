@@ -10,9 +10,9 @@ from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
                                  StaircaseForm, WordSyntaxError, boxplus_failures,
                                  boxplus_tuples, congruence_class, count_classes,
                                  eq_oracle, first_level_pairs, format_word, multiply,
-                                 parse_word, projection_q, to_staircase,
+                                 parse_word, projection, to_staircase,
                                  verify_boxplus, words_up_to)
-from chinese_monoid.bicyclic import Bicyclic
+from chinese_monoid.bicyclic import product
 from chinese_monoid.representation import eq_via_embedding
 from oracles import decode_staircase, reduce_pq_string, reference_staircase
 
@@ -472,10 +472,8 @@ def test_bicyclic_images_of_a_product_compose(case):
     word = head + w + tail
     for y in range(2, n + 1):
         for x in range(1, y):
-            head_image, w_image, tail_image = (Bicyclic(*core._pq_image(part, x, y))
-                                               for part in (head, w, tail))
-            composed = head_image * w_image * tail_image
-            assert composed.j == projection_q(word, x, y)
+            composed = product(projection(part, x, y) for part in (head, w, tail))
+            assert composed == projection(word, x, y)
             text = "".join("p" if g <= x else "q" if g >= y else "" for g in word)
             assert composed == reduce_pq_string(text), (x, y)
 

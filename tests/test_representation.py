@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chinese_monoid.bicyclic import IDENTITY, P, Q, Bicyclic
+from chinese_monoid.bicyclic import IDENTITY, P, Q
 from chinese_monoid.core import (StaircaseForm, WordSyntaxError,
                                  congruence_class, eq_oracle, to_staircase,
                                  words_up_to)
@@ -16,12 +16,12 @@ from chinese_monoid.representation import (BadLeafPair, Component,
                                            NotALeaf, NotAnArcStep, _mark_table,
                                            arc_element_image, arc_unit_tuple,
                                            build_representation,
-                                           eq_via_embedding, identity_tuple,
-                                           image, image_str,
+                                           eq_via_embedding, image, image_str,
                                            incomparability_witness,
                                            leaf_representations,
-                                           representation_json, tuple_mul)
+                                           representation_json)
 from chinese_monoid.tree import Diagram, enumerate_leaves, parse_id, tribonacci
+from oracles import identity_tuple, tuple_mul
 
 
 def rep_for(leaf_id: str, n: int):
@@ -111,7 +111,7 @@ def test_generator_image_invariants():
 def test_image_examples():
     rep = rep_for("d2 A", 3)
     assert image(rep, (3, 2, 1)) == (1, IDENTITY, 1)
-    assert image(rep, (1, 2, 3)) == (1, Bicyclic(1, 1), 1)
+    assert image(rep, (1, 2, 3)) == (1, (1, 1), 1)
     assert image(rep, ()) == identity_tuple(rep.schema)
 
 
@@ -180,7 +180,7 @@ def test_letters_outside_the_rank_are_rejected(n):
 
 def reference_image(rep, word):
     """The per-letter product of whole generator images, the reference for `image`."""
-    return functools.reduce(lambda acc, g: tuple_mul(rep.schema, acc, rep.images[g - 1]),
+    return functools.reduce(lambda acc, g: tuple_mul(rep.schema, acc, rep.image_of(g)),
                             word, identity_tuple(rep.schema))
 
 
@@ -205,7 +205,7 @@ def test_image_matches_reference_fold_on_arbitrary_entries(case, data):
     # faithfulness suite's --corrupt plants: the evaluator must not rely on
     # generator images being p, q, 1, 0 or 1.
     rep, word = case
-    entry = {"B": st.builds(Bicyclic, st.integers(0, 3), st.integers(0, 3)),
+    entry = {"B": st.tuples(st.integers(0, 3), st.integers(0, 3)),
              "N": st.integers(0, 3), "Z": st.integers(0, 3)}
     columns = tuple(tuple(data.draw(entry[comp.kind]) for _ in range(rep.n))
                     for comp in rep.schema)
@@ -254,7 +254,7 @@ def test_eq_via_embedding_matches_reference_fold(case):
 
 
 def test_leaf_table_columns_are_the_projections():
-    # eq_via_embedding compares letter counts and projection_q for each
+    # eq_via_embedding compares letter counts and projection for each
     # x < y; that is the leaf product only if these are exactly the distinct
     # columns of the generator-image tables (N and Z columns both add, so
     # they share a kind here).
