@@ -27,7 +27,7 @@ USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall, ClassCapExceede
 # tree and leaves walk the whole rank-n tree: the counts suite's bound
 MAX_TREE_RANK = harness.SUITES["counts"][1]["max_n"][2]
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
-MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # eq's n(n-1)/2 projections per letter; normalize, mul too
+MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # normalize, mul, eq; none costs over O(n log |w|) a letter
 MAX_ORACLE_LETTERS = 64  # per word: the closure may hold DEFAULT_CAP words of this length
 WITNESS_MAX_LEN = harness.SUITES["incomparability"][1]["max_len"]  # (default, low, high)
 
@@ -68,9 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("v")
     cmd.add_argument("--method", choices=("oracle", "embedding", "both"),
                      default="both",
-                     help=f"oracle: breadth-first class, each word <= "
-                          f"{MAX_ORACLE_LETTERS} letters; embedding: leaf product; "
-                          "both (default): both must agree")
+                     help=f"oracle: breadth-first class, each word <= {MAX_ORACLE_LETTERS} "
+                          "letters; embedding: leaf product, one fold per x < n; both "
+                          "(default): both must agree")
 
     cmd = add("tree", f"the diagram tree (n <= {MAX_TREE_RANK})", MAX_TREE_RANK)
     group = cmd.add_mutually_exclusive_group()

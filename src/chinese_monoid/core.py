@@ -13,9 +13,9 @@ the identity.  Every class contains a unique word matching the triangular
 which serves as the canonical form.  `to_staircase` and `multiply` insert
 one letter at a time into its exponents, in O(n) per letter.  The letter
 counts and the bicyclic projections (`projection`, each word's image in B
-as a (p, q) pair), which `boxplus_failures` and
-`representation.eq_via_embedding` compare, fix the same exponents by
-another route: the independent check.
+as a (p, q) pair), which `boxplus_failures` compares, and the letters
+`pending` leaves, which give every projection (x, ·) at once for
+`representation.eq_via_embedding`, fix the same exponents: the independent check.
 The breadth-first closure of the relations (`congruence_class`, `eq_oracle`)
 is the correctness oracle the tests and suites check everything else
 against: slow but correct by construction at desk scale.  It sorts each
@@ -29,6 +29,7 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -207,6 +208,12 @@ class StaircaseForm:
                 raise ValueError("exponents must be nonnegative")
 
     @classmethod
+    def _built(cls, n: int, k: tuple[tuple[int, ...], ...]) -> "StaircaseForm":
+        form = object.__new__(cls)  # unchecked: `_insert` cannot fail the checks above
+        form.__dict__.update(n=n, k=k)
+        return form
+
+    @classmethod
     def identity(cls, n: int) -> "StaircaseForm":
         return cls(n, tuple(tuple(0 for _ in range(i + 1)) for i in range(n)))
 
@@ -223,11 +230,7 @@ class StaircaseForm:
     def weight(self) -> int:
         """Weighted degree: off-diagonal exponents count twice.  Equals the
         length of the expanded word."""
-        total = 0
-        for i, row in enumerate(self.k, start=1):
-            for j, e in enumerate(row, start=1):
-                total += e if i == j else 2 * e
-        return total
+        return sum(2 * sum(row) - row[-1] for row in self.k)
 
     def as_dict(self) -> dict:
         return {"n": self.n, "k": [list(row) for row in self.k]}
@@ -250,6 +253,23 @@ def projection(word: Word, x: int, y: int) -> tuple[int, int]:
             else:
                 i += 1
     return i, j
+
+
+def pending(word: Word, x: int) -> list[int]:
+    """The letters still pending, largest first, once `word` is read left to
+    right: each g > x is pushed, each g <= x removes the largest pending one.
+
+    For every y > x, `projection(word, x, y)` is (#{g <= x} - #{g >= y} + c, c)
+    with c = #{pending >= y}: under B(x, y) a p cancels a pending q exactly
+    when some pending letter is >= y, and then the largest one is.
+    """
+    heap: list[int] = []  # negated: heapq's least is the largest letter
+    for g in word:
+        if g > x:
+            heappush(heap, -g)
+        elif heap:
+            heappop(heap)
+    return [-g for g in sorted(heap)]
 
 
 def to_staircase(word: Word, n: int) -> StaircaseForm:
@@ -277,8 +297,7 @@ def _insert(n: int, k: list[list[int]], word: Word) -> StaircaseForm:
     # single a_r (j = r) ends there; a pair a_r a_j carries x := j on in the
     # same row r.  With no such row, k[x][x] grows.  top[r] is the column of
     # the last nonzero cell of row r (0 if none), so a letter costs O(n).
-    top = [0] + [max((j for j, e in enumerate(row, 1) if e), default=0) if any(row) else 0
-                 for row in k]
+    top = [0] + [max(j for j, e in enumerate(row, 1) if e) if any(row) else 0 for row in k]
     for x in word:
         r = n
         while r > x:
@@ -299,7 +318,7 @@ def _insert(n: int, k: list[list[int]], word: Word) -> StaircaseForm:
         else:
             k[x - 1][x - 1] += 1
             top[x] = x
-    return StaircaseForm(n, tuple(map(tuple, k)))
+    return StaircaseForm._built(n, tuple(map(tuple, k)))
 
 
 def count_classes(n: int, length: int) -> int:
@@ -389,16 +408,12 @@ def verify_boxplus(n: int, variant: int, w: Word, *, i: int, j: int,
         the normal forms of  a_i a_j w a_k a_l  and  a_j a_i w a_l a_k
         form the same multiset as those of  a_i a_j w a_l a_k  and
         a_j a_i w a_k a_l.
-    Each word is compared by its letter counts and projections B(x, y),
-    1 <= x < y <= n, which fix the normal form one to one, so no form is
-    built.  The four words have the same
-    letters, so the counts drop out.  Each projection is a homomorphism to
-    the bicyclic monoid, so w's image p^c q^d under each B(x, y) is a pair
-    of ints, and each word's image is head image * w image * tail image.
-    Letters a and b have commuting images under B(x, y) unless
-    min(a, b) <= x < y <= max(a, b) (one goes to p, the other to q); where
-    both the heads and the tails commute, the four words have one image and
-    the projection is skipped.
+    No form is built: the four words share their letter counts, and their
+    projections B(x, y), 1 <= x < y <= n, which fix the normal form one to
+    one, are composed as head image * w image * tail image, homomorphisms to
+    the bicyclic monoid.  Where both heads and both tails commute under
+    B(x, y) (unless min(a, b) <= x < y <= max(a, b), letters a and b do),
+    the four words have one image and the projection is skipped.
     Variant 23 appends a_m (i >= j+1 > j >= m > l, k forced to j+1);
     variant 32 prepends a_m (i > m >= j+1 > j >= l, k forced to j+1).
     Each variant is one predicate in `_BOXPLUS`, which `boxplus_tuples`

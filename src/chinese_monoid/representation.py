@@ -23,9 +23,9 @@ The product of the images over all leaves decides word equality exactly, and
 each component depends only on its column: N and Z columns add ints along
 the word, B columns multiply pairs by `bicyclic.product`.  So
 `eq_via_embedding`, the fast counterpart of the breadth-first oracle in
-`core`, compares those columns alone: O(n^2 |w|), with no per-rank set-up.  A witness that one leaf's congruence is not
-contained in another's is built from the two leaves' arcs, in two or three
-letters.
+`core`, compares those columns alone, in O(n |w| log |w|) with no per-rank
+set-up.  A witness that one leaf's congruence is not contained in another's
+is built from the two leaves' arcs, in two or three letters.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bicyclic import IDENTITY, P, Q, product
-from .core import Word, check_letters, projection
+from .core import Word, check_letters, pending
 from .tree import Diagram, enumerate_leaves
 
 
@@ -137,9 +137,10 @@ def leaf_representations(n: int) -> tuple[LeafRepresentation, ...]:
 def eq_via_embedding(n: int, w: Word, v: Word) -> bool:
     """Decide w = v by comparing images under every leaf representation.
 
-    Only the distinct table columns are compared, stopping at the first that
-    separates w and v: the letter counts, then each bicyclic projection
-    (x, y) as its (p, q) pair.
+    Only the distinct table columns are compared: the letter counts, then
+    each projection (x, y), all y at once by `core.pending(·, x)`, O(log |w|)
+    per letter, from x = n - 1 (the cheapest fold) down to the first x that
+    separates w and v.
     This decides equality at every rank, below 3 too, where no leaf exists:
     these numbers fix the staircase exponents, which `core.to_staircase`
     builds by letter insertion instead, so each method checks the other.
@@ -147,8 +148,7 @@ def eq_via_embedding(n: int, w: Word, v: Word) -> bool:
     check_letters(w + v, n)
     if sorted(w) != sorted(v):
         return False
-    return all(projection(w, x, y) == projection(v, x, y)
-               for y in range(2, n + 1) for x in range(1, y))
+    return all(pending(w, x) == pending(v, x) for x in range(n - 1, 0, -1))
 
 
 def arc_element_image(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTuple:

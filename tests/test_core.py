@@ -10,7 +10,7 @@ from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
                                  StaircaseForm, WordSyntaxError, boxplus_failures,
                                  boxplus_tuples, congruence_class, count_classes,
                                  eq_oracle, first_level_pairs, format_word, multiply,
-                                 parse_word, projection, to_staircase,
+                                 parse_word, pending, projection, to_staircase,
                                  verify_boxplus, words_up_to)
 from chinese_monoid.bicyclic import product
 from chinese_monoid.representation import eq_via_embedding
@@ -305,6 +305,17 @@ def test_every_single_letter_insertion_matches_the_projection_decode():
                 assert multiply(f, g).k == reference_staircase(f.expand() + (x,), n), (f, x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    sparse_forms(n), st.lists(st.integers(1, n), max_size=60).map(tuple))))
+def test_inserted_forms_pass_validation(case):
+    # _insert builds its forms without the constructor's checks; they must pass them.
+    f, word = case
+    g = to_staircase(word, f.n)
+    for form in (g, multiply(f, g), multiply(g, f)):
+        assert StaircaseForm(form.n, form.k) == form
+
+
 def test_staircase_validation():
     with pytest.raises(ValueError):
         StaircaseForm(2, ((1,),))
@@ -476,6 +487,32 @@ def test_bicyclic_images_of_a_product_compose(case):
             assert composed == projection(word, x, y)
             text = "".join("p" if g <= x else "q" if g >= y else "" for g in word)
             assert composed == reduce_pq_string(text), (x, y)
+
+
+def assert_pending_gives_every_projection(word, n):
+    # q is the number of pending letters >= y, and p = #{g <= x} - #{g >= y} + q.
+    at_least = [sum(1 for g in word if g >= y) for y in range(n + 2)]
+    for x in range(1, n + 1):
+        left = pending(word, x)
+        assert left == sorted(left, reverse=True) and all(g > x for g in left), (word, x, left)
+        for y in range(x + 1, n + 1):
+            q = sum(1 for g in left if g >= y)
+            p = len(word) - at_least[x + 1] - at_least[y] + q
+            assert (p, q) == projection(word, x, y), (word, x, y, left)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), max_size=200).map(tuple))))
+@example((3, (3, 2, 1)))  # a fold that drops the smallest or newest letter keeps 3
+def test_pending_letters_give_every_projection(case):
+    assert_pending_gives_every_projection(case[1], case[0])
+
+
+def test_pending_letters_give_every_projection_on_all_short_words():
+    for n, max_len in ((3, 6), (4, 5)):
+        for word in words_up_to(n, max_len):
+            assert_pending_gives_every_projection(word, n)
 
 
 def normal_form_multisets_agree(n, w, i, j, k, l, m=None, m_first=False):
