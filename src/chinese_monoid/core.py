@@ -28,8 +28,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -182,35 +182,68 @@ def eq_oracle(w: Word, v: Word, extra: CongruencePairs = NO_EXTRA,
 
 
 # ---------------------------------------------------------------------------
-# Staircase canonical form
+# Immutable values and the staircase canonical form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StaircaseForm:
+class Frozen:
+    """Immutable value with slots.  Equality (within one class), hash, repr,
+    pickling and `match` read `__match_args__`, the constructor's arguments."""
+
+    __slots__ = __match_args__ = ()
+    _values: tuple  # the fields' values, in that order
+
+    def __init_subclass__(cls) -> None:
+        # attrgetter, not getattr in a loop: `incomparability_witness` compares leaves
+        cls._values = property(attrgetter(*cls.__match_args__))  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values
+
+
+class StaircaseForm(Frozen):
     """Triangular exponent array of the canonical form.
 
     Row i (1-based, stored at k[i-1]) holds k[i][1..i]: exponent of the pair
     a_i a_j at position j < i and of the single letter a_i at position i.
     """
 
+    __slots__ = __match_args__ = ("n", "k")
     n: int
     k: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got {self.n}")
-        if len(self.k) != self.n:
+    def __new__(cls, n: int, k: tuple[tuple[int, ...], ...]) -> "StaircaseForm":
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
+        if len(k) != n:
             raise ValueError("exponent triangle has wrong number of rows")
-        for i, row in enumerate(self.k, start=1):
+        for i, row in enumerate(k, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries")
             if min(row) < 0:
                 raise ValueError("exponents must be nonnegative")
+        return cls._built(n, k)
 
     @classmethod
     def _built(cls, n: int, k: tuple[tuple[int, ...], ...]) -> "StaircaseForm":
         form = object.__new__(cls)  # unchecked: `_insert` cannot fail the checks above
-        form.__dict__.update(n=n, k=k)
+        object.__setattr__(form, "n", n)
+        object.__setattr__(form, "k", k)
         return form
 
     @classmethod

@@ -6,7 +6,8 @@ embedding, the two-sided annihilation identities, the semigroup identity
 inherited from the bicyclic monoid, centrality modulo the first-level
 congruences, pairwise incomparability of leaf congruences, and the component
 arithmetic of the leaf schemas.  Suites are deterministic given their
-parameters; the sampled suite takes an explicit seed.
+parameters; the sampled suite takes an explicit seed.  `import chinese_monoid`
+leaves this module unloaded until one of its names is read from the package.
 
 Faithfulness and centrality read the oracle through `_class_partition`,
 which closes each class once and labels all its members: centrality
@@ -28,7 +29,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import core, representation as rep_mod
@@ -46,13 +46,14 @@ class BoundsExceeded(Exception):
     """Requested parameters are unread by the suite or beyond its desk-scale bounds."""
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    params: dict
-    instances: int
-    failures: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self, suite: str, params: dict, instances: int,
+                 failures: list[str] | None = None, elapsed: float = 0.0) -> None:
+        self.suite = suite
+        self.params = params
+        self.instances = instances
+        self.failures: list[str] = [] if failures is None else failures
+        self.elapsed = elapsed
 
     @property
     def passed(self) -> bool:

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bicyclic import IDENTITY, P, Q, product
-from .core import Word, check_letters, pending
+from .core import Frozen, Word, check_letters, pending
 from .tree import Diagram, enumerate_leaves
 
 
@@ -63,11 +62,17 @@ class Component(NamedTuple):
 ImageTuple = tuple  # entries: int for N/Z components, (p, q) pair for B
 
 
-@dataclass(frozen=True, slots=True)
-class LeafRepresentation:
+class LeafRepresentation(Frozen):
+    __slots__ = __match_args__ = ("leaf", "schema", "columns")
     leaf: Diagram
     schema: tuple[Component, ...]
     columns: tuple[tuple, ...]  # one per component; entry g-1 is generator g's
+
+    def __init__(self, leaf: Diagram, schema: tuple[Component, ...],
+                 columns: tuple[tuple, ...]) -> None:
+        object.__setattr__(self, "leaf", leaf)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n(self) -> int:

@@ -26,8 +26,9 @@ A (arc above), L (dot left), R (dot right).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
+
+from .core import Frozen
 
 Step = tuple | str  # ("d", s) | ("a", s) as first step, then "A" | "L" | "R"
 
@@ -108,21 +109,22 @@ def _follow(n: int, state: tuple, step: Step) -> tuple:
         raise MalformedDiagram(f"step {step!r} not allowed here; legal: {legal}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class Diagram:
+class Diagram(Frozen):
     """A vertex of the tree: a validated step sequence over rank n."""
 
+    __slots__ = ("n", "steps", "_state")
+    __match_args__ = ("n", "steps")  # `_state` follows from them
     n: int
-    steps: tuple[Step, ...] = ()
-    _state: tuple = field(init=False, repr=False, compare=False)
+    steps: tuple[Step, ...]
+    _state: tuple
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise RankTooSmall(f"rank must be >= 3, got {self.n}")
+    def __new__(cls, n: int, steps: tuple[Step, ...] = ()) -> "Diagram":
+        if n < 3:
+            raise RankTooSmall(f"rank must be >= 3, got {n}")
         state = _ROOT
-        for step in self.steps:
-            state = _follow(self.n, state, step)
-        object.__setattr__(self, "_state", state)
+        for step in steps:
+            state = _follow(n, state, step)
+        return _vertex(n, steps, state)
 
     @property
     def marks(self) -> tuple[tuple, ...]:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -323,6 +324,27 @@ def test_staircase_validation():
         StaircaseForm(2, ((1,), (-1, 0)))
     with pytest.raises(WordSyntaxError):
         to_staircase((5,), 3)
+
+
+def test_staircase_forms_are_frozen():
+    form = StaircaseForm(2, ((1,), (0, 2)))
+    for name in ("n", "k", "other"):
+        with pytest.raises(AttributeError):
+            setattr(form, name, None)
+        with pytest.raises(AttributeError):
+            delattr(form, name)
+    assert not hasattr(form, "__dict__")
+
+
+def test_staircase_value_semantics():
+    form = StaircaseForm(2, ((1,), (0, 2)))
+    assert repr(form) == "StaircaseForm(n=2, k=((1,), (0, 2)))"
+    built = to_staircase((1, 2, 2), 2)  # made by `_built`, unchecked
+    assert built == form and hash(built) == hash(form)
+    assert form != StaircaseForm(2, ((1,), (1, 2))) and form != StaircaseForm.identity(2)
+    assert form.__eq__((2, ((1,), (0, 2)))) is NotImplemented and form != (2, ((1,), (0, 2)))
+    assert pickle.loads(pickle.dumps(built)) == form
+    assert StaircaseForm.__match_args__ == ("n", "k")
 
 
 def test_serialization_roundtrip():
