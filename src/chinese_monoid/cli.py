@@ -21,8 +21,7 @@ from .representation import (build_representation, eq_via_embedding, image,
 from .tree import Diagram, MalformedDiagram, RankTooSmall, parse_id, render
 
 USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall, ClassCapExceeded,
-                harness.BoundsExceeded, harness.UnknownSuite,
-                rep_mod.NotALeaf, rep_mod.BadLeafPair)
+                harness.BoundsExceeded, rep_mod.NotALeaf, rep_mod.BadLeafPair)
 
 # tree and leaves walk the whole rank-n tree: the counts suite's bound
 MAX_TREE_RANK = harness.SUITES["counts"][1]["max_n"][2]
@@ -73,9 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default): both must agree")
 
     cmd = add("tree", f"the diagram tree (n <= {MAX_TREE_RANK})", MAX_TREE_RANK)
-    group = cmd.add_mutually_exclusive_group()
-    group.add_argument("--ascii", action="store_true", help="indented id listing (default)")
-    group.add_argument("--dot", action="store_true", help="DOT graph output")
+    cmd.add_argument("--dot", action="store_true", help="DOT graph output")
 
     cmd = add("leaves", f"list the leaves with their component counts (n <= {MAX_TREE_RANK})",
               MAX_TREE_RANK)

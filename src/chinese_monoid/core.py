@@ -32,6 +32,8 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Iterator, Sequence
 
+from .bicyclic import IDENTITY, P, Q, product
+
 Word = tuple[int, ...]
 CongruencePairs = frozenset[tuple[Word, Word]]
 
@@ -275,17 +277,8 @@ class StaircaseForm(Frozen):
 
 def projection(word: Word, x: int, y: int) -> tuple[int, int]:
     """(i, j) with p^i q^j the image of `word` in the bicyclic monoid under
-    a_g -> p (g <= x), 1 (x < g < y), q (g >= y); qp = 1 cancels."""
-    i = j = 0
-    for g in word:
-        if g >= y:
-            j += 1
-        elif g <= x:
-            if j:
-                j -= 1
-            else:
-                i += 1
-    return i, j
+    a_g -> p (g <= x), 1 (x < g < y), q (g >= y), by `bicyclic.product`."""
+    return product(P if g <= x else Q if g >= y else IDENTITY for g in word)
 
 
 def pending(word: Word, x: int) -> list[int]:

@@ -15,10 +15,9 @@ state, each with the child's state.  `Diagram` and `Diagram.child` follow
 the steps they are given through it, and `children` lists its moves.
 
 One walk, `_walk`, visits a subtree in pre-order over states alone;
-`preorder`, `enumerate_leaves` and the renderings run on it, and a
-`Diagram` is built only where a caller reads one: for every vertex and its
-children in `preorder`, for the leaves alone in `enumerate_leaves`, and
-nowhere in `render_dot` or `render_outline`, which build each id once.
+`enumerate_leaves` and the renderings run on it, and a `Diagram` is built
+only where a caller reads one: for the leaves alone in `enumerate_leaves`,
+and nowhere in `render_dot` or `render_outline`, which build each id once.
 
 Vertices are written as ids like "d2 A L": initial token d<s> or a<s>, then
 A (arc above), L (dot left), R (dot right).
@@ -216,15 +215,6 @@ def _walk(d: Diagram) -> Iterator[tuple[tuple, tuple, int, dict]]:
         moves = _moves(n, state)
         yield steps, state, depth, moves
         stack.extend((steps + (step,), kid, depth + 1) for step, kid in reversed(moves.items()))
-
-
-def preorder(root: Diagram) -> Iterator[tuple[Diagram, int, list[Diagram]]]:
-    """The subtree at `root` in depth-first pre-order of the fixed child
-    ordering: each vertex with its depth below `root` and its children."""
-    n = root.n
-    for steps, state, depth, moves in _walk(root):
-        yield (_vertex(n, steps, state), depth,
-               [_vertex(n, steps + (step,), kid) for step, kid in moves.items()])
 
 
 def enumerate_leaves(n: int) -> list[Diagram]:

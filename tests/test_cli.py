@@ -101,6 +101,9 @@ def test_tree_ascii_and_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert out.count("label=") == 5
+    with pytest.raises(SystemExit) as exc:  # the listing is the default: no --ascii
+        main(["tree", "-n", "3", "--ascii"])
+    assert exc.value.code == 2
 
 
 def test_a_reader_that_closes_stdout_early_gets_no_traceback():
@@ -323,3 +326,11 @@ def test_internal_index_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(core, "boxplus_failures", broken)
     with pytest.raises(core.IndexConstraintViolated):
         main(["verify", "boxplus", "--max-n", "3", "--max-word-len", "0"])
+
+
+def test_internal_unknown_suite_is_not_a_usage_error(monkeypatch):
+    # argparse refuses an unknown suite name and `all` runs the fixed battery:
+    # only a bug in the battery can name a suite that does not exist.
+    monkeypatch.setattr(harness, "DEFAULT_BATTERY", (("countz", {}),))
+    with pytest.raises(harness.UnknownSuite, match="unknown suite 'countz'"):
+        main(["verify", "all"])

@@ -318,8 +318,12 @@ def test_inserted_forms_pass_validation(case):
 
 
 def test_staircase_validation():
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        StaircaseForm(0, ())
     with pytest.raises(ValueError):
         StaircaseForm(2, ((1,),))
+    with pytest.raises(ValueError, match="row 2 must have 2 entries"):
+        StaircaseForm(2, ((1,), (0,)))
     with pytest.raises(ValueError):
         StaircaseForm(2, ((1,), (-1, 0)))
     with pytest.raises(WordSyntaxError):
@@ -397,6 +401,10 @@ def test_count_classes_examples():
     assert count_classes(3, 1) == 3
     assert count_classes(3, 2) == 9
     assert count_classes(7, 0) == 1
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        count_classes(0, 1)
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        count_classes(3, -1)
 
 
 @pytest.mark.parametrize("n,max_len", [(3, 4), (4, 3)])
@@ -439,6 +447,8 @@ def test_first_level_pairs_bounds():
         first_level_pairs("arc", 1, 3)
     with pytest.raises(IndexConstraintViolated):
         first_level_pairs("bogus", 2, 3)
+    with pytest.raises(IndexConstraintViolated, match="rank must be >= 3"):
+        first_level_pairs("dot", 2, 2)
 
 
 def test_dot_pairs_make_generator_central():

@@ -8,7 +8,7 @@ from chinese_monoid.core import (congruence_class, eq_oracle, first_level_pairs,
                                  format_word, words_up_to)
 from chinese_monoid.harness import (DEFAULT_BATTERY, SUITE_NAMES,
                                     BoundsExceeded, UnknownSuite, run_suite)
-from chinese_monoid.representation import image, leaf_representations
+from chinese_monoid.representation import LeafRepresentation, image, leaf_representations
 
 
 def test_suite_names_are_complete():
@@ -133,6 +133,73 @@ def test_centrality_reports_a_weakened_congruence(monkeypatch):
     report = run_suite("centrality", max_n=3, max_len=2)
     assert not report.passed
     assert report.failures[0].startswith("dot n=3 s=2 w=")
+
+
+def assert_fails(report, failures):
+    # No suite passes vacuously: each failure branch reports, in order.
+    assert report.as_json_dict()["pass"] is False
+    assert report.failures == failures
+
+
+def test_counts_reports_a_wrong_leaf_count(monkeypatch):
+    monkeypatch.setattr(harness, "tribonacci", lambda k: 0)
+    assert_fails(run_suite("counts", max_n=4),
+                 ["n=3: 3 leaves, expected T_3=0", "n=4: 5 leaves, expected T_4=0"])
+
+
+def test_faithfulness_default_max_len_depends_on_n():
+    for n, max_len, words in ((3, 5, 364), (4, 4, 341)):
+        report = run_suite("faithfulness", n=n)
+        assert report.passed and report.params["max_len"] == max_len
+        assert report.instances == words * (words - 1) // 2
+
+
+def test_identity_reports_each_method(monkeypatch):
+    # At max_len 1 every x and y has one letter, so every sample reaches the
+    # oracle, unless the embedding has already failed it.
+    samples = ["sample 0: n=4 x=(1,) y=(4,)", "sample 1: n=4 x=(4,) y=(2,)",
+               "sample 2: n=5 x=(3,) y=(1,)"]
+
+    def forbidden(*args):
+        raise AssertionError("ran the oracle")
+    with monkeypatch.context() as patch:
+        patch.setattr(harness.rep_mod, "eq_via_embedding", lambda n, w, v: False)
+        patch.setattr(harness, "eq_oracle", forbidden)
+        report = run_suite("identity", samples=3, max_len=1)
+    assert_fails(report, [f"{sample} (embedding)" for sample in samples])
+    monkeypatch.setattr(harness, "eq_oracle", lambda w, v: False)
+    report = run_suite("identity", samples=3, max_len=1)
+    assert_fails(report, [f"{sample} (oracle)" for sample in samples])
+    assert report.params["oracle_cross_checks"] == 0
+
+
+def test_incomparability_reports_missing_and_bogus_witnesses(monkeypatch):
+    # Every witness built from two leaves' arcs has 2 or 3 letters.
+    pairs = ["('d2 A', 'a2')", "('d2 A', 'a3')", "('a2', 'd2 A')", "('a2', 'a3')",
+             "('a3', 'd2 A')", "('a3', 'a2')"]
+    assert_fails(run_suite("incomparability", n=3, max_len=1),
+                 [f"{pair}: inconclusive at max_len=1" for pair in pairs])
+    monkeypatch.setattr(harness, "incomparability_witness", lambda r1, r2, max_len: ((1, 2), (1, 2)))
+    assert_fails(run_suite("incomparability", n=3, max_len=3),
+                 [f"{pair}: bogus witness ((1, 2), (1, 2))" for pair in pairs])
+
+
+def test_schema_reports_tampered_tables(monkeypatch):
+    # 'd2 A' gets a_3 -> p in its arc's bicyclic column, so a_3 a_1 -> p^2;
+    # 'a2' loses its last component, the free generator 3.
+    real = harness.leaf_representations
+
+    def tampered(n):
+        d2a, a2, *rest = real(n)
+        columns = (d2a.columns[0], (P, IDENTITY, P)) + d2a.columns[2:]
+        return (LeafRepresentation(d2a.leaf, d2a.schema, columns),
+                LeafRepresentation(a2.leaf, a2.schema[:-1], a2.columns[:-1]), *rest)
+    monkeypatch.setattr(harness, "leaf_representations", tampered)
+    report = run_suite("schema", max_n=3)
+    assert_fails(report, ["n=3 leaf 'd2 A': arc (1, 3) image not a unit",
+                          "n=3 leaf 'a2': c+2d = 2 != 3",
+                          "n=3: sum of c+2d over leaves is 8, expected 9"])
+    assert report.instances == 7
 
 
 def test_failure_injection_breaks_faithfulness():

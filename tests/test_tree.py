@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chinese_monoid.tree import (Diagram, MalformedDiagram, RankTooSmall,
                                  children, enumerate_leaves, parse_id,
-                                 preorder, render, render_ascii, render_dot,
+                                 render, render_ascii, render_dot,
                                  render_outline, tribonacci, u_sequence)
 
 
@@ -29,6 +29,9 @@ def test_u_sequence_matches_tribonacci():
         assert u_sequence(k) == tribonacci(k)
     for k in range(3, 21):
         assert u_sequence(k + 1) == u_sequence(k) + u_sequence(k - 1) + u_sequence(k - 2)
+    for sequence in (tribonacci, u_sequence):
+        with pytest.raises(ValueError, match="index must be >= 0"):
+            sequence(-1)
 
 
 # --- tree structure ----------------------------------------------------------
@@ -131,7 +134,7 @@ def test_parse_id_roundtrip():
 
 
 def vertices(n):
-    return [d for d, _, _ in preorder(Diagram(n))]
+    return [d for d, _, _ in reference_preorder(Diagram(n))]
 
 
 def test_parsed_leaves_are_tree_leaves():
@@ -173,14 +176,6 @@ def test_the_tree_walk_checks_no_step(monkeypatch):
     assert len(enumerate_leaves(10)) == tribonacci(10)
 
 
-def test_preorder_yields_depths_and_children():
-    visits = list(preorder(Diagram(4)))
-    assert [(d.id, depth) for d, depth, _ in visits] == [
-        ("root", 0), ("d2", 1), ("d2 A", 2), ("d3", 1), ("d3 A", 2),
-        ("a2", 1), ("a3", 1), ("a3 A", 2), ("a4", 1)]
-    assert all(kids == children(d) for d, _, kids in visits)
-
-
 def reference_preorder(d, depth=0):
     # The tree grown by Diagram.child alone: every candidate step is tried,
     # and the ones it refuses are dropped.
@@ -201,20 +196,13 @@ def reference_preorder(d, depth=0):
 
 def test_enumerate_leaves_matches_the_child_recursion():
     for n in range(3, 17):
-        want = [d for d, _, kids in reference_preorder(Diagram(n)) if not kids]
+        visits = list(reference_preorder(Diagram(n)))
+        assert all(children(d) == kids for d, _, kids in visits)
+        want = [d for d, _, kids in visits if not kids]
         got = enumerate_leaves(n)
         assert got == want
         assert [(d.steps, d.marks, d._state) for d in got] == \
             [(d.steps, d.marks, d._state) for d in want]
-
-
-def test_preorder_matches_the_child_recursion():
-    for n in range(3, 10):
-        for start in (Diagram(n), *children(Diagram(n))):
-            assert [(d.id, depth, [kid.id for kid in kids])
-                    for d, depth, kids in preorder(start)] == \
-                [(d.id, depth, [kid.id for kid in kids])
-                 for d, depth, kids in reference_preorder(start)]
 
 
 def test_diagrams_are_frozen():
@@ -288,13 +276,13 @@ def reference_dot(d):
 
 def test_render_dot_matches_the_reference_on_every_subtree():
     for n in range(3, 8):
-        for d, _, _ in preorder(Diagram(n)):
+        for d in vertices(n):
             assert render_dot(d) == reference_dot(d), d.id
 
 
 def test_render_outline_matches_the_reference_on_every_subtree():
     for n in range(3, 8):
-        for d, _, _ in preorder(Diagram(n)):
+        for d in vertices(n):
             want = "\n".join("  " * depth + v.id + (" *" if v.is_leaf else "")
                              for v, depth, _ in reference_preorder(d))
             assert render_outline(d) == want, d.id
