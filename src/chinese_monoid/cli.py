@@ -18,17 +18,14 @@ from .core import (ClassCapExceeded, WordSyntaxError, eq_oracle, format_word,
 from .representation import (build_representation, eq_via_embedding, image,
                              image_str, incomparability_witness,
                              representation_json)
-from .tree import Diagram, MalformedDiagram, RankTooSmall, parse_id, render
+from .tree import MAX_TREE_RANK, Diagram, MalformedDiagram, RankTooSmall, parse_id, render
 
 USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall, ClassCapExceeded,
                 harness.BoundsExceeded, rep_mod.NotALeaf, rep_mod.BadLeafPair)
 
-# tree and leaves walk the whole rank-n tree: the counts suite's bound
-MAX_TREE_RANK = harness.SUITES["counts"][1]["max_n"][2]
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
 MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # normalize, mul, eq; none costs over O(n log |w|) a letter
 MAX_ORACLE_LETTERS = 64  # per word: the closure may hold DEFAULT_CAP words of this length
-WITNESS_MAX_LEN = harness.SUITES["incomparability"][1]["max_len"]  # (default, low, high)
 
 
 def _suite_flags() -> dict[str, dict[str, tuple]]:
@@ -89,9 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("witness", "word pair merged by one leaf congruence, split by another")
     cmd.add_argument("--leaf1", required=True)
     cmd.add_argument("--leaf2", required=True)
-    cmd.add_argument("--max-len", type=int, default=WITNESS_MAX_LEN[0], help="longest witness "
-                     "words accepted ({1}..{2}, default {0}); the pair built from the leaves' "
-                     "arcs has 2 or 3 letters".format(*WITNESS_MAX_LEN))
 
     cmd = add("verify", "run a verification suite", rank=None)
     cmd.add_argument("suite", choices=harness.SUITE_NAMES + ("all",))
@@ -208,17 +202,9 @@ def _cmd_image(args) -> int:
 
 def _cmd_witness(args) -> int:
     n = args.rank
-    _, low, high = WITNESS_MAX_LEN
-    if not low <= args.max_len <= high:
-        raise harness.BoundsExceeded(
-            f"witness needs {low} <= --max-len <= {high}, got {args.max_len}")
     r1 = build_representation(parse_id(args.leaf1, n))
     r2 = build_representation(parse_id(args.leaf2, n))
-    found = incomparability_witness(r1, r2, args.max_len)
-    if found is None:
-        print(f"no witness up to length {args.max_len}")
-        return 1
-    w, v = found
+    w, v = incomparability_witness(r1, r2)
     print(f"w = {format_word(w)}")
     print(f"v = {format_word(v)}")
     print(f"image under {r1.leaf.id!r}: {image_str(r1, image(r1, w))} (both)")

@@ -24,8 +24,8 @@ each component depends only on its column: N and Z columns add ints along
 the word, B columns multiply pairs by `bicyclic.product`.  So
 `eq_via_embedding`, the fast counterpart of the breadth-first oracle in
 `core`, compares those columns alone, in O(n |w| log |w|) with no per-rank
-set-up.  A witness that one leaf's congruence is not contained in another's
-is built from the two leaves' arcs, in two or three letters.
+set-up.  For any two distinct leaves, a word pair built from their arcs, in
+two or three letters, shows the first's congruence is not in the second's.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class NotAnArcStep(Exception):
 
 
 class BadLeafPair(ValueError):
-    """A witness needs two different leaf representations of the same rank."""
+    """A witness needs the representations of two different leaves of one rank."""
 
 
 class Component(NamedTuple):
@@ -177,21 +177,23 @@ def arc_unit_tuple(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTuple:
 
 
 def incomparability_witness(r1: LeafRepresentation, r2: LeafRepresentation,
-                            max_len: int) -> tuple[Word, Word] | None:
-    """A pair (w, v) identified by r1 but separated by r2, or None if the
-    shortest pair built here is longer than max_len.
+                            max_len: int | None = None) -> tuple[Word, Word] | None:
+    """A pair (w, v) identified by r1 but separated by r2, in 2 or 3 letters;
+    None only if max_len, by default no bound, is shorter.
 
     Built from the leaves' arcs.  An arc (x, y) of r2 separates a_x a_y from
     a_y a_x; r1's other columns add, and its arc (p, q) tells the two apart
     only if x <= p and q <= y.  So an arc of r2 with no arc of r1 inside
     [x, y] gives the pair (x y, y x).  Otherwise an arc of r2 that r1 lacks,
     with (p, q) the outermost arc of r1 inside [x, y], gives (x y p, p y x)
-    if p > x and (q x y, q y x) if p = x.  Distinct leaves have arc sets
-    neither of which contains the other (tested at n = 3..16), so some arc
-    of r2 is not one of r1's.  Of the pairs so built, the shortest is
-    returned, the least of them if several are.
+    if p > x and (q x y, q y x) if p = x.  Such an arc exists at every rank:
+    a leaf is fixed by its arcs, which nest, the first holds at most one
+    point, dots between two consecutive arcs lie on one side only, and the
+    last arc is extreme, so no arc of another leaf fits inside, between or
+    around them.  Of the pairs so built, the shortest is returned, the least
+    of them if several are.
     """
-    if r1 == r2:
+    if r1.leaf == r2.leaf:
         raise BadLeafPair("the leaf representations must differ")
     if r1.n != r2.n:
         raise BadLeafPair("the leaf representations must have equal rank")
@@ -204,7 +206,7 @@ def incomparability_witness(r1: LeafRepresentation, r2: LeafRepresentation,
             p, q = min(inside)  # arcs nest, so the least is the outermost
             pairs.append(((x, y, p), (p, y, x)) if p > x else ((q, x, y), (q, y, x)))
     pair = min(pairs, key=lambda pair: (len(pair[0]), pair))
-    return pair if len(pair[0]) <= max_len else None
+    return pair if max_len is None or len(pair[0]) <= max_len else None
 
 
 def image_str(rep: LeafRepresentation, value: ImageTuple) -> str:

@@ -31,6 +31,8 @@ from .core import Frozen
 
 Step = tuple | str  # ("d", s) | ("a", s) as first step, then "A" | "L" | "R"
 
+MAX_TREE_RANK = 16  # counts, tree and leaves walk the whole tree: T_16 = 7,473 leaves
+
 
 class RankTooSmall(Exception):
     """Diagram trees are only defined for rank n >= 3."""

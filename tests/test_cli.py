@@ -159,10 +159,8 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a2")
     assert code == 2 and "must differ" in err
-    for max_len in ("-1", "4"):
-        code, out, err = run(capsys, "witness", "-n", "3", "--leaf1", "a2", "--leaf2", "a3",
-                             "--max-len", max_len)
-        assert code == 2 and "1 <= --max-len <= 3" in err and out == ""
+    code, out, err = run(capsys, "verify", "incomparability", "--max-len", "3")
+    assert code == 2 and "incomparability does not read max_len" in err and out == ""
     code, out, err = run(capsys, "tree", "-n", "17")
     assert code == 2 and "n <= 16" in err and out == ""
     code, out, err = run(capsys, "leaves", "-n", "17")
@@ -190,15 +188,10 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_witness_answers_at_the_largest_rank(capsys):
-    # The pair is built from the leaves' arcs, so neither the rank nor
-    # --max-len bounds the work; --max-len is 1..3, the pair's 2 or 3 letters.
-    code, out, _ = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000",
-                       "--max-len", "2")
+    # The pair is built from the leaves' arcs, so the rank does not bound the work.
+    code, out, _ = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000")
     assert code == 0
     assert out.splitlines()[:2] == ["w = 999 1000", "v = 1000 999"]
-    code, out, _ = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000",
-                       "--max-len", "1")
-    assert code == 1 and out == "no witness up to length 1\n"
 
 
 def test_witness_refuses_max_len_before_any_table(capsys, monkeypatch):
@@ -207,14 +200,14 @@ def test_witness_refuses_max_len_before_any_table(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("built a leaf table")
     monkeypatch.setattr(cli, "build_representation", forbidden)
-    for max_len in ("0", "4", "100"):
-        code, out, err = run(capsys, "witness", "-n", "1000", "--leaf1", "a2",
-                             "--leaf2", "a1000", "--max-len", max_len)
-        assert code == 2 and out == ""
-        assert f"witness needs 1 <= --max-len <= 3, got {max_len}" in err
+    # The pair always has 2 or 3 letters, so there is no length to bound.
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000", "--max-len", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-len 3" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["witness", "--help"])
-    assert "(1..3, default 3)" in " ".join(capsys.readouterr().out.split())
+    assert "--max-len" not in capsys.readouterr().out
 
 
 def test_the_oracle_is_not_bounded_by_projections(capsys):
@@ -250,7 +243,7 @@ GOLDEN = {
                           for leaf in enumerate_leaves(7)],
                          "f2ac3a82324c1ce5488a0b51d84cf6b29d661077c69f12ca0a5131ad1ea1c361"),
     "verify all --seed 0": ([("verify", "all", "--seed", "0")],
-                            "5481e441dca9136c7a9c5ad9e0448479d630651590614e1c28a4f71813223b46"),
+                            "730e86a7a5b54d14314c2ef5d26aa417a2c5f20b5d6f466c465566bc68a77ed7"),
     "repr": ([("repr", "-n", str(n), "--leaf", leaf.id)
               for n in range(3, 8) for leaf in enumerate_leaves(n)],
              "06745c72bb4b23fa7120e2ebb5463a1f204b0b25ea592372c7d050ba17ae5609"),

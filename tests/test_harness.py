@@ -28,7 +28,7 @@ def test_unknown_suite():
     ("boxplus", {"max_n": 4, "max_word_len": 2}),
     ("identity", {"samples": 25}),
     ("centrality", {"max_n": 3, "max_len": 3}),
-    ("incomparability", {"n": 4, "max_len": 3}),
+    ("incomparability", {"n": 4}),
     ("schema", {"max_n": 6}),
 ])
 def test_suites_pass_at_small_scale(name, params):
@@ -80,7 +80,7 @@ TABLE = {
     "boxplus": {"max_n": (5, 3, 6), "max_word_len": (3, 0, 4)},
     "identity": {"samples": (200, 1, 10_000), "max_n": (5, 3, 6), "max_len": (4, 1, 6)},
     "centrality": {"max_n": (4, 3, 5), "max_len": (4, 0, 5)},
-    "incomparability": {"n": (4, 3, 10), "max_len": (3, 1, 3)},
+    "incomparability": {"n": (4, 3, 10)},
     "schema": {"max_n": (10, 3, 12)},
 }
 
@@ -173,14 +173,14 @@ def test_identity_reports_each_method(monkeypatch):
     assert report.params["oracle_cross_checks"] == 0
 
 
-def test_incomparability_reports_missing_and_bogus_witnesses(monkeypatch):
-    # Every witness built from two leaves' arcs has 2 or 3 letters.
+def test_incomparability_refuses_max_len_and_reports_bogus_witnesses(monkeypatch):
+    # Every witness built from two leaves' arcs has 2 or 3 letters: no bound to set.
+    with pytest.raises(BoundsExceeded, match="incomparability does not read max_len"):
+        run_suite("incomparability", n=3, max_len=3)
     pairs = ["('d2 A', 'a2')", "('d2 A', 'a3')", "('a2', 'd2 A')", "('a2', 'a3')",
              "('a3', 'd2 A')", "('a3', 'a2')"]
-    assert_fails(run_suite("incomparability", n=3, max_len=1),
-                 [f"{pair}: inconclusive at max_len=1" for pair in pairs])
-    monkeypatch.setattr(harness, "incomparability_witness", lambda r1, r2, max_len: ((1, 2), (1, 2)))
-    assert_fails(run_suite("incomparability", n=3, max_len=3),
+    monkeypatch.setattr(harness, "incomparability_witness", lambda r1, r2: ((1, 2), (1, 2)))
+    assert_fails(run_suite("incomparability", n=3),
                  [f"{pair}: bogus witness ((1, 2), (1, 2))" for pair in pairs])
 
 
@@ -295,8 +295,8 @@ def test_reports_are_deterministic():
     first = run_suite("identity", samples=40, seed=7)
     second = run_suite("identity", samples=40, seed=7)
     assert first.as_json_dict() == second.as_json_dict()
-    third = run_suite("incomparability", n=4, max_len=3)
-    assert third.as_json_dict() == run_suite("incomparability", n=4, max_len=3).as_json_dict()
+    third = run_suite("incomparability", n=4)
+    assert third.as_json_dict() == run_suite("incomparability", n=4).as_json_dict()
 
 
 def test_json_dict_shape():

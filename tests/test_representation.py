@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from chinese_monoid.representation import (BadLeafPair, Component,
                                            incomparability_witness,
                                            leaf_representations,
                                            representation_json)
-from chinese_monoid.tree import Diagram, enumerate_leaves, parse_id, tribonacci
+from chinese_monoid.tree import Diagram, children, enumerate_leaves, parse_id, tribonacci
 from oracles import identity_tuple, tuple_mul
 
 
@@ -351,6 +352,12 @@ def test_witness_rejects_equal_representations():
         incomparability_witness(rep, rep, 3)
     with pytest.raises(BadLeafPair, match="equal rank"):
         incomparability_witness(rep, rep_for("a2", 4), 3)
+    # Two tables of one leaf: the arcs alone decide, so a tampered entry
+    # does not make the pair valid.
+    rep = rep_for("d2 A", 3)
+    tampered = LeafRepresentation(rep.leaf, rep.schema, ((0, 2, 0),) + rep.columns[1:])
+    with pytest.raises(BadLeafPair, match="must differ"):
+        incomparability_witness(tampered, rep)
 
 
 def test_witness_not_found_returns_none():
@@ -400,6 +407,29 @@ def test_witness_is_as_short_as_a_search_finds(n):
     for r1, r2 in itertools.permutations(leaf_representations(n), 2):
         w, _ = incomparability_witness(r1, r2, 3)
         assert len(w) == shortest_witness_length(r1, r2, 3), (r1.leaf.id, r2.leaf.id)
+
+
+def random_leaf(d, rng):
+    """A leaf below d, reached by a uniformly chosen child at each vertex."""
+    while not d.is_leaf:
+        d = rng.choice(children(d))
+    return d
+
+
+def test_witness_is_valid_above_the_tree_ranks():
+    # No tree is walked at n = 17..200: the second leaf descends from a random
+    # vertex on the first's path, so their arcs often nest and every rule runs.
+    rng = random.Random(0)
+    for n in range(MAX_TREE_RANK + 1, 201):
+        a = random_leaf(Diagram(n), rng)
+        b = random_leaf(Diagram(n, a.steps[:rng.randrange(len(a.steps))]), rng)
+        if a == b:
+            continue
+        for r1, r2 in itertools.permutations(map(build_representation, (a, b))):
+            w, v = incomparability_witness(r1, r2)
+            assert len(w) in (2, 3), (n, r1.leaf.id, r2.leaf.id)
+            assert image(r1, w) == image(r1, v), (n, r1.leaf.id, r2.leaf.id)
+            assert image(r2, w) != image(r2, v), (n, r1.leaf.id, r2.leaf.id)
 
 
 def test_leaf_arc_sets_form_an_antichain():
