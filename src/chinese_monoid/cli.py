@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success (and suite pass), 1 suite failure or tripwire
-disagreement, 2 usage errors, 141 (128 + SIGPIPE) when the reader of stdout
-closes it early.  JSON goes to stdout, diagnostics to stderr.
+Exit codes: 0 success (and suite pass), 1 suite failure, tripwire disagreement
+or a class past the oracle's cap, 2 usage errors, 141 (128 + SIGPIPE) when the
+reader of stdout closes it early.  JSON goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .representation import (build_representation, eq_via_embedding, image,
                              representation_json)
 from .tree import MAX_TREE_RANK, Diagram, MalformedDiagram, RankTooSmall, parse_id, render
 
-USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall, ClassCapExceeded,
+USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
                 harness.BoundsExceeded, rep_mod.NotALeaf, rep_mod.BadLeafPair)
 
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
@@ -262,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ClassCapExceeded as exc:  # valid input; only `eq` runs the closure this far
+        print(f"inconclusive: {exc}; use --method embedding", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader left (`tree -n 16 | head -1`): the Python docs' recipe
         # points stdout at devnull, so the exit flush cannot raise again.

@@ -16,11 +16,11 @@ counts and the bicyclic projections (`projection`, each word's image in B
 as a (p, q) pair), which `boxplus_failures` compares, and the letters
 `pending` leaves, which give every projection (x, ·) at once for
 `representation.eq_via_embedding`, fix the same exponents: the independent check.
-The breadth-first closure of the relations (`congruence_class`, `eq_oracle`)
-is the correctness oracle the tests and suites check everything else
-against: slow but correct by construction at desk scale.  It sorts each
-length-3 factor into i <= k <= j and, if the factor is (j,i,k), (j,k,i) or
-(k,j,i), replaces it by the other two; `eq_oracle` stops at its target.
+The breadth-first closure of the relations (`congruence_class`, `eq_oracle`,
+on int-coded words, rule tables in a bounded memo) is the oracle the tests
+and suites check everything else against, correct by construction at desk
+scale.  It sorts each length-3 factor into i <= k <= j and, if it is (j,i,k),
+(j,k,i) or (k,j,i), replaces it by the other two; `eq_oracle` stops at its target.
 """
 
 from __future__ import annotations
@@ -119,38 +119,54 @@ def _relation_rewrites(factor: Word) -> frozenset[Word]:
     return frozenset(members - {factor}) if factor in members else frozenset()
 
 
+def _code(word: Word, bits: int) -> int:
+    return sum(x << bits * pos for pos, x in enumerate(word))
+
+
+@functools.lru_cache(maxsize=256)
+def _coded_rules(extra: CongruencePairs, bits: int) -> tuple[int, list[int], dict, dict]:
+    # (bits, factor sizes, extra rewrites, coded rules); see congruence_class.
+    bits = max(bits, max((x for u, v in extra for x in u + v), default=1).bit_length())
+    table: dict[Word, set[Word]] = {}
+    for u, v in extra:
+        if len(u) != len(v):
+            raise ValueError(f"inhomogeneous congruence pair ({u}, {v})")
+        if u != v:  # a copy: the memoised relation rule is shared by every call
+            table.setdefault(u, set(_relation_rewrites(u))).add(v)
+            table.setdefault(v, set(_relation_rewrites(v))).add(u)
+    return bits, sorted({3, *map(len, table)}), table, {}
+
+
 def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[Word]:
     # Yields each member once, in the order generated; see congruence_class.
     if cap <= 0:
         raise ValueError("cap must be positive")
-    table: dict[Word, frozenset[Word] | set[Word]] = {}
-    for u, v in extra:
-        if len(u) != len(v):
-            raise ValueError(f"inhomogeneous congruence pair ({u}, {v})")
-        if u != v:  # a copy: the memoised rule is shared by every call
-            table.setdefault(u, set(_relation_rewrites(u))).add(v)
-            table.setdefault(v, set(_relation_rewrites(v))).add(u)
-    sizes = sorted({3, *map(len, table)})
-    seen: set[Word] = {word}
-    queue: deque[Word] = deque((word,))
+    bits, sizes, table, rules = _coded_rules(extra, max(word, default=1).bit_length())
+    scans = [(size, (1 << bits * size) - 1, range(len(word) - size + 1)) for size in sizes]
+    queue = deque([(_code(word, bits), word)])
+    seen = {queue[0][0]}
     yield word
     while queue:
-        w = queue.popleft()
-        for size in sizes:
-            for pos in range(len(w) - size + 1):
-                factor = w[pos:pos + size]
-                replacements = table.get(factor)
-                if replacements is None:
-                    replacements = table[factor] = _relation_rewrites(factor)
-                for r in replacements:
-                    nb = w[:pos] + r + w[pos + size:]
+        c, w = queue.popleft()
+        for size, mask, positions in scans:
+            for pos in positions:
+                f = c >> bits * pos & mask
+                rule = rules.get(f)
+                if rule is None:
+                    factor = w[pos:pos + size]
+                    rule = tuple((_code(r, bits) - f, r)
+                                 for r in table.get(factor) or _relation_rewrites(factor))
+                    if len(rules) < DEFAULT_CAP:  # as many as one closure's words
+                        rules[f] = rule
+                for change, r in rule:
+                    nb = c + (change << bits * pos)
                     if nb not in seen:
                         seen.add(nb)
                         if len(seen) > cap:
                             raise ClassCapExceeded(
                                 f"congruence class of {format_word(word)!r} exceeds cap {cap}")
-                        queue.append(nb)
-                        yield nb
+                        queue.append((nb, member := w[:pos] + r + w[pos + size:]))
+                        yield member
 
 
 def congruence_class(word: Word, extra: CongruencePairs = NO_EXTRA,
@@ -158,11 +174,12 @@ def congruence_class(word: Word, extra: CongruencePairs = NO_EXTRA,
     """Breadth-first closure of `word` under the defining relations plus the
     `extra` pairs (substituted in both directions at every position).
 
-    One rule table per call maps each factor to its replacements: the extra
-    pairs both ways and the other members of a length-3 factor's relation
-    class, which is memoised across calls.  All members have the length of
-    `word`.
-    Raises ClassCapExceeded once more than `cap` words have been generated.
+    A word is the int sum(x << bits*pos), `bits` the bit length of its and
+    `extra`'s largest letter; factor code `code >> bits*pos & mask` maps to
+    ((change, replacement), ...) and a new neighbour code + (change << bits*pos)
+    gets its parent's tuple rewritten.  A memo of 256 (extra, word bits) keys
+    keeps the extra pairs both ways and up to DEFAULT_CAP coded rules met.
+    Members have the length of `word`; more than `cap` raise ClassCapExceeded.
     """
     return set(_closure(word, extra, cap))
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -228,6 +229,23 @@ def test_the_oracle_refuses_long_words_before_any_work(capsys, monkeypatch):
         assert code == 2 and out == ""
         assert f"<= {cli.MAX_ORACLE_LETTERS} letters per word" in err
         assert "--method embedding" in err
+
+
+def test_a_class_past_the_cap_is_inconclusive_not_a_usage_error(capsys, monkeypatch):
+    # Valid input within every bound: a false verdict must close the class of
+    # 420 words, past a cap of 50.
+    import chinese_monoid.cli as cli
+    import chinese_monoid.core as core
+
+    monkeypatch.setattr(cli, "eq_oracle", functools.partial(core.eq_oracle, cap=50))
+    for method in ("oracle", "both"):
+        code, out, err = run(capsys, "eq", "-n", "3", "3 2 1 3 2 1 3 2 1", "1 1 1 2 2 2 3 3 3",
+                             "--method", method)
+        assert (code, out) == (1, "")
+        assert err == ("inconclusive: congruence class of '3 2 1 3 2 1 3 2 1' exceeds cap 50; "
+                       "use --method embedding\n")
+    assert run(capsys, "eq", "-n", "3", "3 2 1 3 2 1 3 2 1", "1 1 1 2 2 2 3 3 3",
+               "--method", "embedding")[:2] == (0, "false\n")
 
 
 # sha256 of the concatenated stdout of each group.  This output is byte-stable:

@@ -94,10 +94,12 @@ def test_inhomogeneous_extra_pair_rejected():
 
 
 def reference_rules(n, extra=frozenset()):
-    """Every relation a_j a_i a_k = a_j a_k a_i = a_k a_j a_i (i <= k <= j),
+    """Every relation a_j a_i a_k = a_j a_k a_i = a_k a_j a_i (i <= k <= j)
+    over the letters 1..n (or over the letters of `n`, if it is a set),
     listed directly, and every extra pair, as rules (u, v) both ways."""
     rules = set()
-    for i, k, j in itertools.combinations_with_replacement(range(1, n + 1), 3):
+    letters = sorted(n) if isinstance(n, set) else range(1, n + 1)
+    for i, k, j in itertools.combinations_with_replacement(letters, 3):
         rules.update(itertools.permutations({(j, i, k), (j, k, i), (k, j, i)}, 2))
     for u, v in extra:
         rules.update({(u, v), (v, u)})
@@ -144,13 +146,74 @@ def test_congruence_class_matches_reference_closure(n, max_len, with_pairs):
 
 def test_extra_pairs_leave_the_memoised_rules_unchanged():
     # The arc pairs rewrite (3, 1, 2), a relation factor whose memoised rule
-    # every later closure reads; an extra pair must extend a copy of it.
+    # every later closure reads; an extra pair must extend a copy of it, in
+    # a coded table of its own.
     extra = first_level_pairs("arc", 2, 3)
     assert ((3, 1, 2), (2, 1, 3)) in extra
     with_pairs, plain = reference_classes(3, 3, extra), reference_classes(3, 3)
     for word in words_up_to(3, 3):
         assert congruence_class(word, extra) == with_pairs[word], word
         assert congruence_class(word) == plain[word], word
+
+    def replacements(pairs):
+        bits, _, _, rules = core._coded_rules(pairs, 2)
+        return {r for _, r in rules[core._code((3, 1, 2), bits)]}
+    assert core._relation_rewrites((3, 1, 2)) == {(3, 2, 1), (2, 3, 1)}
+    assert core._coded_rules(core.NO_EXTRA, 2)[2] == {}
+    assert replacements(core.NO_EXTRA) == {(3, 2, 1), (2, 3, 1)}
+    assert replacements(extra) == {(3, 2, 1), (2, 3, 1), (2, 1, 3)}
+
+
+def reference_class(word, extra=frozenset()):
+    """Closure of one word by `reference_rules` over its letters and those of
+    `extra`: no rule brings in any other letter."""
+    letters = set(word).union(*(u + v for u, v in extra))
+    rules = reference_rules(letters, extra)
+    members, todo = {word}, [word]
+    while todo:
+        for nb in reference_neighbours(todo.pop(), rules) - members:
+            members.add(nb)
+            todo.append(nb)
+    return members
+
+
+def words_over(letters, max_len):
+    return itertools.chain.from_iterable(
+        itertools.product(letters, repeat=length) for length in range(max_len + 1))
+
+
+@pytest.mark.parametrize("letters,max_len,extra", [
+    ((1, 7, 8), 5, frozenset()),  # 3 bits a letter until an 8 needs 4
+    ((1, 7, 8), 4, frozenset({((8, 1), (1, 8)), ((7, 1, 8), (8, 1, 7))})),
+    ((1, 2), 5, frozenset({((2, 1), (8, 8))})),  # the extras' letters set the width
+    ((1, 2, 3), 4, frozenset({((3,), (1,))})),
+    ((1, 2, 3), 5, frozenset({((2, 1), (1, 2))})),
+    ((1, 2, 3), 5, frozenset({((2, 1, 2, 1), (1, 2, 1, 2))})),
+    ((1, 2, 3), 5, frozenset({((1, 1), (2, 2))})),  # homogeneous, new letters
+])
+def test_coded_closure_matches_reference_across_letter_widths(letters, max_len, extra):
+    for word in words_over(letters, max_len):
+        assert congruence_class(word, extra) == reference_class(word, extra), word
+
+
+def test_coded_closure_at_the_largest_rank():
+    for word in ((1000, 1, 999, 1000, 2), (1000, 999, 998, 1000, 1, 999)):
+        members = congruence_class(word)
+        assert members == reference_class(word) and len(members) > 1
+        assert all(eq_oracle(word, v) for v in members)
+
+
+def test_the_coded_rules_memo_is_bounded(monkeypatch):
+    assert 0 < core._coded_rules.cache_info().maxsize < math.inf
+    # Past DEFAULT_CAP rules, a table stops learning and computes them per use.
+    core._coded_rules.cache_clear()
+    monkeypatch.setattr(core, "DEFAULT_CAP", 0)
+    extra = frozenset({((2, 1), (1, 2))})
+    for word in words_over((1, 2, 3), 4):
+        assert congruence_class(word, extra) == reference_class(word, extra), word
+    _, _, table, rules = core._coded_rules(extra, 2)
+    assert set(table) == {(2, 1), (1, 2)} and rules == {}
+    core._coded_rules.cache_clear()
 
 
 @pytest.mark.parametrize("n,max_len", [(3, 5), (4, 4)])
