@@ -31,7 +31,6 @@ two or three letters, shows the first's congruence is not in the second's.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple
 
 from .bicyclic import IDENTITY, P, Q, product
@@ -114,11 +113,11 @@ def build_representation(leaf: Diagram) -> LeafRepresentation:
     if not leaf.is_leaf:
         raise NotALeaf(f"{leaf.id!r} is not a leaf")
     n = leaf.n
-    u, v = leaf.interval
+    u, v, _, marks = leaf._state
     schema: list[Component] = []
     columns: list[tuple] = []
-    free = (("free", g) for g in itertools.chain(range(1, u), range(v + 1, n + 1)))
-    for mark in itertools.chain(leaf.marks, free):
+    free = [("free", g) for g in (*range(1, u), *range(v + 1, n + 1))]
+    for mark in (*marks, *free):
         mark_schema, mark_columns = _mark_table(n, mark)
         schema += mark_schema
         columns += mark_columns

@@ -10,14 +10,17 @@ dot only an arc, and dots never sit on generator 1 or n.  An arc touching
 generator 1 or n is extreme and terminates the branch; vertices ending in an
 extreme arc are the leaves.
 
-One function, `_moves`, states these rules: the legal steps from a vertex's
-state, each with the child's state.  `Diagram` and `Diagram.child` follow
-the steps they are given through it, and `children` lists its moves.
+One memoised table, `_moves(n, u, v, last)`, states these rules: the legal
+steps below a vertex in the fixed child order, each with the mark it adds and
+the child's (u, v, last).  Moves do not depend on the marks, so a rank has
+at most 2n² states (291 at n = 16) and an `lru_cache` of 4096 holds a tree
+rank's.  The rules stay in one function so that the walk, `children`, the
+check of `Diagram`'s steps and `is_leaf` (no moves) cannot drift apart.
 
-One walk, `_walk`, visits a subtree in pre-order over states alone;
-`enumerate_leaves` and the renderings run on it, and a `Diagram` is built
-only where a caller reads one: for the leaves alone in `enumerate_leaves`,
-and nowhere in `render_dot` or `render_outline`, which build each id once.
+One walk, `_walk`, visits a subtree in pre-order on one list of steps and one
+of marks, truncated to each vertex's depth.  It yields the shared lists, so
+`enumerate_leaves` copies them at the leaves alone, and the renderings build
+each id once and no `Diagram`.
 
 Vertices are written as ids like "d2 A L": initial token d<s> or a<s>, then
 A (arc above), L (dot left), R (dot right).
@@ -25,7 +28,8 @@ A (arc above), L (dot left), R (dot right).
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
+from typing import Iterable, Iterator
 
 from .core import Frozen
 
@@ -71,43 +75,40 @@ def u_sequence(k: int) -> int:
 _ROOT = (None, None, "root", ())
 
 
-def _is_leaf(n: int, state: tuple) -> bool:
-    u, v, last, _ = state
-    return last == "arc" and (u == 1 or v == n)
+@functools.lru_cache(maxsize=4096)
+def _moves(n: int, u: int | None, v: int | None, last: str) -> tuple:
+    """The legal steps below a vertex as (step, mark, (u', v', last')), in the
+    fixed child order: d2..d(n-1), a2..an at the root, then A, L, R elsewhere.
 
-
-def _moves(n: int, state: tuple) -> dict:
-    """The legal steps from a state, each with the child's state, in the fixed
-    child order: d2..d(n-1), a2..an at the root, then A, L, R elsewhere.
-
-    A state is (u, v, last, marks): the used interval [u, v] (None, None at
-    the root), the last move ("root", "dot0", "dotL", "dotR" or "arc") and
-    the marks ("dot", s) and ("arc", x, y) in step order.  An arc above always
-    fits: only an extreme arc reaches generator 1 or n, and nothing follows it.
+    A vertex's state is (u, v, last, marks): the used interval [u, v] (None,
+    None at the root), the last move ("root", "dot0", "dotL", "dotR" or "arc")
+    and the marks ("dot", s) and ("arc", x, y) in step order.  An arc above
+    always fits: only an extreme arc reaches generator 1 or n, and nothing
+    follows it.
     """
-    u, v, last, marks = state
     if last == "root":
-        return {**{("d", s): (s, s, "dot0", (("dot", s),)) for s in range(2, n)},
-                **{("a", s): (s - 1, s, "arc", (("arc", s - 1, s),)) for s in range(2, n + 1)}}
-    if _is_leaf(n, state):
-        return {}
-    moves = {"A": (u - 1, v + 1, "arc", marks + (("arc", u - 1, v + 1),))}
+        return (tuple((("d", s), ("dot", s), (s, s, "dot0")) for s in range(2, n))
+                + tuple((("a", s), ("arc", s - 1, s), (s - 1, s, "arc")) for s in range(2, n + 1)))
+    if last == "arc" and (u == 1 or v == n):
+        return ()
+    moves = (("A", ("arc", u - 1, v + 1), (u - 1, v + 1, "arc")),)
     if last in ("arc", "dotL") and u > 2:
-        moves["L"] = (u - 1, v, "dotL", marks + (("dot", u - 1),))
+        moves += (("L", ("dot", u - 1), (u - 1, v, "dotL")),)
     if last in ("arc", "dotR") and v < n - 1:
-        moves["R"] = (u, v + 1, "dotR", marks + (("dot", v + 1),))
+        moves += (("R", ("dot", v + 1), (u, v + 1, "dotR")),)
     return moves
 
 
 def _follow(n: int, state: tuple, step: Step) -> tuple:
     """The child's state after one step; a step not among the moves raises."""
-    moves = _moves(n, state)
-    try:
-        return moves[step]
-    except (KeyError, TypeError):  # TypeError: an unhashable step
-        legal = (f"('d', 2..{n - 1}) or ('a', 2..{n})" if state[2] == "root"
-                 else " ".join(moves) or "none past an extreme arc")
-        raise MalformedDiagram(f"step {step!r} not allowed here; legal: {legal}") from None
+    u, v, last, marks = state
+    moves = _moves(n, u, v, last)
+    for move, mark, kid in moves:
+        if move == step:
+            return kid + (marks + (mark,),)
+    legal = (f"('d', 2..{n - 1}) or ('a', 2..{n})" if last == "root"
+             else " ".join(move for move, _, _ in moves) or "none past an extreme arc")
+    raise MalformedDiagram(f"step {step!r} not allowed here; legal: {legal}")
 
 
 class Diagram(Frozen):
@@ -119,9 +120,10 @@ class Diagram(Frozen):
     steps: tuple[Step, ...]
     _state: tuple
 
-    def __new__(cls, n: int, steps: tuple[Step, ...] = ()) -> "Diagram":
+    def __new__(cls, n: int, steps: Iterable[Step] = ()) -> "Diagram":
         if n < 3:
             raise RankTooSmall(f"rank must be >= 3, got {n}")
+        steps = tuple(steps)
         state = _ROOT
         for step in steps:
             state = _follow(n, state, step)
@@ -146,12 +148,7 @@ class Diagram(Frozen):
 
     @property
     def is_leaf(self) -> bool:
-        return _is_leaf(self.n, self._state)
-
-    @property
-    def interval(self) -> tuple:
-        """The used interval (u, v); (None, None) at the root."""
-        return self._state[:2]
+        return not _moves(self.n, *self._state[:3])
 
     @property
     def id(self) -> str:
@@ -171,11 +168,11 @@ def _vertex(n: int, steps: tuple, state: tuple) -> Diagram:
     return d
 
 
-def _vertex_id(steps: tuple) -> str:
+def _vertex_id(steps: tuple | list) -> str:
     if not steps:
         return "root"
     first = steps[0]
-    return " ".join((f"{first[0]}{first[1]}",) + steps[1:])
+    return " ".join([f"{first[0]}{first[1]}", *steps[1:]])
 
 
 def parse_id(text: str, n: int) -> Diagram:
@@ -203,51 +200,52 @@ def parse_id(text: str, n: int) -> Diagram:
 def children(d: Diagram) -> list[Diagram]:
     """Child vertices in the fixed order of `_moves`: initial dots then initial
     arcs for the root; arc above, dot left, dot right elsewhere; none at a leaf."""
-    return [_vertex(d.n, d.steps + (step,), state) for step, state in _moves(d.n, d._state).items()]
+    u, v, last, marks = d._state
+    return [_vertex(d.n, d.steps + (step,), kid + (marks + (mark,),))
+            for step, mark, kid in _moves(d.n, u, v, last)]
 
 
-def _walk(d: Diagram) -> Iterator[tuple[tuple, tuple, int, dict]]:
+def _walk(d: Diagram) -> Iterator[tuple[list, list, int, tuple, tuple]]:
     """The subtree at `d` in depth-first pre-order of the fixed child ordering:
-    each vertex's steps, state, depth below `d` and moves.  A vertex has no
-    moves exactly when it is a leaf."""
-    n = d.n
-    stack = [(d.steps, d._state, 0)]
-    while stack:
-        steps, state, depth = stack.pop()
-        moves = _moves(n, state)
-        yield steps, state, depth, moves
-        stack.extend((steps + (step,), kid, depth + 1) for step, kid in reversed(moves.items()))
+    each vertex's steps, marks, depth below `d`, (u, v, last) and moves.  The
+    steps and marks are two lists shared by every vertex, valid until the next
+    one; a vertex has no moves exactly when it is a leaf."""
+    n, top = d.n, len(d.steps)
+    steps, marks, state = list(d.steps), list(d.marks), d._state[:3]
+    moves = _moves(n, *state)
+    yield steps, marks, 0, state, moves
+    path = [iter(moves)]  # the moves not yet taken below each vertex from d down
+    while path:
+        depth = len(path)
+        above = top + depth - 1  # steps of the vertex whose moves are taken
+        for step, mark, state in path[-1]:
+            del steps[above:], marks[above:]
+            steps.append(step)
+            marks.append(mark)
+            moves = _moves(n, *state)
+            yield steps, marks, depth, state, moves
+            if moves:
+                path.append(iter(moves))
+                break  # descend
+        else:
+            path.pop()
 
 
 def enumerate_leaves(n: int) -> list[Diagram]:
     """All leaves in depth-first order of the fixed child ordering."""
-    return [_vertex(n, steps, state) for steps, state, _, moves in _walk(Diagram(n)) if not moves]
+    return [_vertex(n, tuple(steps), state + (tuple(marks),))
+            for steps, marks, _, state, moves in _walk(Diagram(n)) if not moves]
 
 
 # --- rendering -------------------------------------------------------------
 
-_USED = "●"    # filled circle
-_UNUSED = "○"  # hollow circle
-_ARC_L = "╭"
-_ARC_R = "╮"
-_ARC_H = "─"
-
-
 def render_ascii(d: Diagram) -> str:
     """Fixed-width drawing: one row per arc (outermost on top), then the
-    generator row and a digit row (indices mod 10)."""
+    generator row (● used, ○ unused) and a digit row (indices mod 10)."""
     n = d.n
-    width = 2 * n - 1
-    lines: list[str] = []
-    for x, y in sorted(d.arcs):
-        row = [" "] * width
-        row[2 * (x - 1)] = _ARC_L
-        row[2 * (y - 1)] = _ARC_R
-        for col in range(2 * (x - 1) + 1, 2 * (y - 1)):
-            row[col] = _ARC_H
-        lines.append("".join(row).rstrip())
-    used = set(d.dots) | {g for x, y in d.arcs for g in (x, y)}
-    lines.append(" ".join(_USED if g in used else _UNUSED for g in range(1, n + 1)))
+    lines = [" " * (2 * x - 2) + "╭" + "─" * (2 * (y - x) - 1) + "╮" for x, y in sorted(d.arcs)]
+    used = {g for mark in d.marks for g in mark[1:]}
+    lines.append(" ".join("●" if g in used else "○" for g in range(1, n + 1)))
     lines.append(" ".join(str(g % 10) for g in range(1, n + 1)))
     return "\n".join(lines)
 
@@ -257,7 +255,7 @@ def render_dot(d: Diagram) -> str:
     nodes = ["digraph diagram_tree {", "  node [shape=box fontname=\"monospace\"];"]
     edges: list[list[str]] = []  # per inner vertex in pre-order: its edges, filled by its children
     path: list[tuple[str, list[str]]] = []  # (id, edges) of each vertex from d down
-    for steps, _, depth, moves in _walk(d):
+    for steps, _, depth, _, moves in _walk(d):
         vid = _vertex_id(steps)
         nodes.append(f'  "{vid}" [label="{vid}"{"" if moves else " style=bold"}];')
         del path[depth:]
@@ -274,7 +272,7 @@ def render_outline(d: Diagram) -> str:
     """The subtree rooted at `d` in pre-order, one id per line, indented two
     spaces per level below `d`; a leaf's id ends in " *"."""
     return "\n".join("  " * depth + _vertex_id(steps) + ("" if moves else " *")
-                     for steps, _, depth, moves in _walk(d))
+                     for steps, _, depth, _, moves in _walk(d))
 
 
 def render(d: Diagram, format: str = "ascii") -> str:

@@ -1,12 +1,13 @@
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chinese_monoid.tree import (Diagram, MalformedDiagram, RankTooSmall,
-                                 children, enumerate_leaves, parse_id,
+from chinese_monoid.tree import (MAX_TREE_RANK, Diagram, MalformedDiagram,
+                                 RankTooSmall, _moves, children, enumerate_leaves, parse_id,
                                  render, render_ascii, render_dot,
                                  render_outline, tribonacci, u_sequence)
 
@@ -203,6 +204,45 @@ def test_enumerate_leaves_matches_the_child_recursion():
         assert got == want
         assert [(d.steps, d.marks, d._state) for d in got] == \
             [(d.steps, d.marks, d._state) for d in want]
+
+
+def reference_children(d):
+    return next(reference_preorder(d))[2]
+
+
+def test_the_walk_matches_the_child_recursion_above_the_tree_ranks():
+    # No whole tree is walked at n = 17..60.  Each random descent steps to a
+    # leaf only when it must: it picks a child that has an inner child, else an
+    # inner child.  The checks start 3, 4 and 5 steps above the leaf it
+    # reaches, below the root and at u and v that no smaller rank has.
+    rng = random.Random(0)
+    for n in range(MAX_TREE_RANK + 1, 61):
+        path = [Diagram(n)]
+        while kids := reference_children(path[-1]):
+            inner = [kid for kid in kids if reference_children(kid)]
+            deeper = [kid for kid in inner if any(map(reference_children, reference_children(kid)))]
+            path.append(rng.choice(deeper or inner or kids))
+        assert len(path) > 6, n  # no check starts at the root, whose tree is T_n leaves
+        for top in path[-6:-3]:
+            visits = list(reference_preorder(top))
+            for d, _, kids in visits:  # a leaf, and only a leaf, ends in an extreme arc
+                kind, *ends = d.marks[-1]
+                assert (not kids) == (kind == "arc" and (ends[0] == 1 or ends[-1] == n)), d.id
+                assert children(d) == kids, d.id
+            assert render_outline(top) == "\n".join("  " * depth + d.id + ("" if kids else " *")
+                                                    for d, depth, kids in visits), top.id
+
+
+def test_the_move_memo_is_bounded_and_holds_the_largest_tree_rank():
+    states = {d._state[:3] for d in vertices(MAX_TREE_RANK)}
+    assert len(states) == 291 <= _moves.cache_info().maxsize
+
+
+def test_a_list_of_steps_is_stored_as_a_tuple():
+    d, want = Diagram(4, [("a", 3)]), Diagram(4, (("a", 3),))
+    assert d.steps == (("a", 3),) and d == want and hash(d) == hash(want)
+    assert d.id == "a3"
+    assert children(d) == children(want) == [Diagram(4, (("a", 3), "A"))]
 
 
 def test_diagrams_are_frozen():
