@@ -12,16 +12,15 @@ import json
 import os
 import sys
 
-from . import harness, representation as rep_mod, tree
+from . import harness, tree
 from .core import (ClassCapExceeded, WordSyntaxError, eq_oracle, format_word,
                    multiply, parse_word, to_staircase)
-from .representation import (build_representation, eq_via_embedding, image,
-                             image_str, incomparability_witness,
-                             representation_json)
+from .representation import (BadLeafPair, NotALeaf, build_representation, eq_via_embedding,
+                             image, image_str, incomparability_witness, representation_json)
 from .tree import MAX_TREE_RANK, Diagram, MalformedDiagram, RankTooSmall, parse_id, render
 
 USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
-                harness.BoundsExceeded, rep_mod.NotALeaf, rep_mod.BadLeafPair)
+                harness.BoundsExceeded, NotALeaf, BadLeafPair)
 
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
 MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # normalize, mul, eq; none costs over O(n log |w|) a letter
@@ -44,22 +43,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "tree, leaf representations, and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, rank: int | None = MAX_RANK) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler,
+            rank: int | None = MAX_RANK) -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler, max_rank=rank)
         if rank:
             cmd.add_argument("-n", "--rank", type=int, required=True,
                              help=f"rank of the monoid (n <= {rank})")
         return cmd
 
     letters = f"n(n-1)/2 * letters <= {MAX_PROJECTION_LETTERS:,}"
-    cmd = add("normalize", f"staircase canonical form of a word ({letters})")
+    cmd = add("normalize", f"staircase canonical form of a word ({letters})", _cmd_normalize)
     cmd.add_argument("word", help='word, e.g. "3 2 1" or "cba"')
 
-    cmd = add("mul", f"normalized product of two words ({letters})")
+    cmd = add("mul", f"normalized product of two words ({letters})", _cmd_mul)
     cmd.add_argument("w")
     cmd.add_argument("v")
 
-    cmd = add("eq", f"decide equality of two words ({letters}, except by the oracle)")
+    cmd = add("eq", f"decide equality of two words ({letters}, except by the oracle)", _cmd_eq)
     cmd.add_argument("w")
     cmd.add_argument("v")
     cmd.add_argument("--method", choices=("oracle", "embedding", "both"),
@@ -68,26 +69,26 @@ def _build_parser() -> argparse.ArgumentParser:
                           "letters; embedding: leaf product, one fold per x < n; both "
                           "(default): both must agree")
 
-    cmd = add("tree", f"the diagram tree (n <= {MAX_TREE_RANK})", MAX_TREE_RANK)
+    cmd = add("tree", f"the diagram tree (n <= {MAX_TREE_RANK})", _cmd_tree, MAX_TREE_RANK)
     cmd.add_argument("--dot", action="store_true", help="DOT graph output")
 
     cmd = add("leaves", f"list the leaves with their component counts (n <= {MAX_TREE_RANK})",
-              MAX_TREE_RANK)
+              _cmd_leaves, MAX_TREE_RANK)
     cmd.add_argument("--json", action="store_true")
 
-    cmd = add("repr", "generator-image table of a leaf representation")
+    cmd = add("repr", "generator-image table of a leaf representation", _cmd_repr)
     cmd.add_argument("--leaf", required=True, help='leaf id, e.g. "d2 A"')
     cmd.add_argument("--json", action="store_true")
 
-    cmd = add("image", "image of a word under a leaf representation")
+    cmd = add("image", "image of a word under a leaf representation", _cmd_image)
     cmd.add_argument("--leaf", required=True)
     cmd.add_argument("word")
 
-    cmd = add("witness", "word pair merged by one leaf congruence, split by another")
+    cmd = add("witness", "word pair merged by one leaf congruence, split by another", _cmd_witness)
     cmd.add_argument("--leaf1", required=True)
     cmd.add_argument("--leaf2", required=True)
 
-    cmd = add("verify", "run a verification suite", rank=None)
+    cmd = add("verify", "run a verification suite", _cmd_verify, rank=None)
     cmd.add_argument("suite", choices=harness.SUITE_NAMES + ("all",))
     cmd.add_argument("--seed", type=int, default=0)
     for name, readers in _suite_flags().items():
@@ -166,9 +167,7 @@ def _cmd_leaves(args) -> int:
             "format": 1,
             "n": n,
             "leaves": [
-                {"id": leaf.id, "steps": [list(s) if isinstance(s, tuple) else s
-                                          for s in leaf.steps],
-                 "c": c, "d": d}
+                {"id": leaf.id, "steps": leaf.steps, "c": c, "d": d}
                 for leaf, c, d in counts
             ],
         }
@@ -236,27 +235,14 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-_HANDLERS = {
-    "normalize": _cmd_normalize,
-    "mul": _cmd_mul,
-    "eq": _cmd_eq,
-    "tree": _cmd_tree,
-    "leaves": _cmd_leaves,
-    "repr": _cmd_repr,
-    "image": _cmd_image,
-    "witness": _cmd_witness,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        bound = MAX_TREE_RANK if args.command in ("tree", "leaves") else MAX_RANK
-        if getattr(args, "rank", 0) > bound:
-            raise harness.BoundsExceeded(f"{args.command} needs n <= {bound}, got {args.rank}")
-        code = _HANDLERS[args.command](args)
+        if args.max_rank and args.rank > args.max_rank:
+            raise harness.BoundsExceeded(
+                f"{args.command} needs n <= {args.max_rank}, got {args.rank}")
+        code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except USAGE_ERRORS as exc:

@@ -251,11 +251,12 @@ class StaircaseForm(Frozen):
             raise ValueError(f"rank must be >= 1, got {n}")
         if len(k) != n:
             raise ValueError("exponent triangle has wrong number of rows")
+        k = tuple(map(tuple, k))
         for i, row in enumerate(k, start=1):
             if len(row) != i:
                 raise ValueError(f"row {i} must have {i} entries")
-            if min(row) < 0:
-                raise ValueError("exponents must be nonnegative")
+            if not all(isinstance(e, int) and e >= 0 for e in row):
+                raise ValueError(f"exponents must be nonnegative ints, got row {i} {row}")
         return cls._built(n, k)
 
     @classmethod

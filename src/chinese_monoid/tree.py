@@ -10,17 +10,17 @@ dot only an arc, and dots never sit on generator 1 or n.  An arc touching
 generator 1 or n is extreme and terminates the branch; vertices ending in an
 extreme arc are the leaves.
 
-One memoised table, `_moves(n, u, v, last)`, states these rules: the legal
-steps below a vertex in the fixed child order, each with the mark it adds and
-the child's (u, v, last).  Moves do not depend on the marks, so a rank has
-at most 2n² states (291 at n = 16) and an `lru_cache` of 4096 holds a tree
-rank's.  The rules stay in one function so that the walk, `children`, the
-check of `Diagram`'s steps and `is_leaf` (no moves) cannot drift apart.
+One function, `_moves(n, u, v, last)`, states these rules: the legal steps
+below a vertex in the fixed child order, each with the mark it adds and the
+child's (u, v, last).  The rules stay in one function so that the walk,
+`children`, the check of `Diagram`'s steps and `is_leaf` (no moves) cannot
+drift apart.
 
 One walk, `_walk`, visits a subtree in pre-order on one list of steps and one
-of marks, truncated to each vertex's depth.  It yields the shared lists, so
-`enumerate_leaves` copies them at the leaves alone, and the renderings build
-each id once and no `Diagram`.
+of marks, truncated to each vertex's depth.  It owns a table of moves by
+(u, v, last), which do not depend on the marks, and yields the shared lists,
+so `enumerate_leaves` copies them at the leaves alone, and the renderings
+build each id once and no `Diagram`.
 
 Vertices are written as ids like "d2 A L": initial token d<s> or a<s>, then
 A (arc above), L (dot left), R (dot right).
@@ -28,7 +28,6 @@ A (arc above), L (dot left), R (dot right).
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator
 
 from .core import Frozen
@@ -75,7 +74,6 @@ def u_sequence(k: int) -> int:
 _ROOT = (None, None, "root", ())
 
 
-@functools.lru_cache(maxsize=4096)
 def _moves(n: int, u: int | None, v: int | None, last: str) -> tuple:
     """The legal steps below a vertex as (step, mark, (u', v', last')), in the
     fixed child order: d2..d(n-1), a2..an at the root, then A, L, R elsewhere.
@@ -213,6 +211,7 @@ def _walk(d: Diagram) -> Iterator[tuple[list, list, int, tuple, tuple]]:
     n, top = d.n, len(d.steps)
     steps, marks, state = list(d.steps), list(d.marks), d._state[:3]
     moves = _moves(n, *state)
+    table = {state: moves}  # this walk's moves by (u, v, last)
     yield steps, marks, 0, state, moves
     path = [iter(moves)]  # the moves not yet taken below each vertex from d down
     while path:
@@ -222,7 +221,8 @@ def _walk(d: Diagram) -> Iterator[tuple[list, list, int, tuple, tuple]]:
             del steps[above:], marks[above:]
             steps.append(step)
             marks.append(mark)
-            moves = _moves(n, *state)
+            if (moves := table.get(state)) is None:
+                moves = table[state] = _moves(n, *state)
             yield steps, marks, depth, state, moves
             if moves:
                 path.append(iter(moves))

@@ -145,6 +145,21 @@ def test_verify_output_is_byte_stable(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command, bound, rest", [
+    ("normalize", 1000, ["1"]),
+    ("mul", 1000, ["1", "2"]),
+    ("eq", 1000, ["1", "2"]),
+    ("tree", 16, []),
+    ("leaves", 16, []),
+    ("repr", 1000, ["--leaf", "a2"]),
+    ("image", 1000, ["--leaf", "a2", "1"]),
+    ("witness", 1000, ["--leaf1", "a2", "--leaf2", "a3"]),
+])
+def test_every_rank_bound_is_enforced(capsys, command, bound, rest):
+    code, out, err = run(capsys, command, "-n", str(bound + 1), *rest)
+    assert (code, out, err) == (2, "", f"error: {command} needs n <= {bound}, got {bound + 1}\n")
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "normalize", "-n", "3", "9 9")
     assert code == 2 and "error:" in err
@@ -162,14 +177,6 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "must differ" in err
     code, out, err = run(capsys, "verify", "incomparability", "--max-len", "3")
     assert code == 2 and "incomparability does not read max_len" in err and out == ""
-    code, out, err = run(capsys, "tree", "-n", "17")
-    assert code == 2 and "n <= 16" in err and out == ""
-    code, out, err = run(capsys, "leaves", "-n", "17")
-    assert code == 2 and "n <= 16" in err and out == ""
-    code, out, err = run(capsys, "image", "-n", "1001", "--leaf", "a2", "1")
-    assert code == 2 and "n <= 1000" in err and out == ""
-    code, out, err = run(capsys, "normalize", "-n", "1001", "1")
-    assert code == 2 and "n <= 1000" in err and out == ""
     # n(n-1)/2 = 499,500 projections at n = 1000: 60 letters fit, 61 do not.
     code, out, err = run(capsys, "normalize", "-n", "1000", " ".join(["1"] * 61))
     assert code == 2 and "n(n-1)/2 * letters" in err and out == ""

@@ -389,8 +389,17 @@ def test_staircase_validation():
         StaircaseForm(2, ((1,), (0,)))
     with pytest.raises(ValueError):
         StaircaseForm(2, ((1,), (-1, 0)))
+    for bad in (2.5, 2.0, "2", None):  # expand() and multiply would fail on them later
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            StaircaseForm(2, ((0,), (0, bad)))
     with pytest.raises(WordSyntaxError):
         to_staircase((5,), 3)
+
+
+def test_staircase_rows_are_stored_as_tuples():
+    form, want = StaircaseForm(2, [[1], [0, 2]]), StaircaseForm(2, ((1,), (0, 2)))
+    assert form.k == ((1,), (0, 2)) and form == want and hash(form) == hash(want)
+    assert form.expand() == want.expand() == (1, 2, 2)
 
 
 def test_staircase_forms_are_frozen():

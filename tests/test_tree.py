@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -233,9 +234,33 @@ def test_the_walk_matches_the_child_recursion_above_the_tree_ranks():
                                                     for d, depth, kids in visits), top.id
 
 
-def test_the_move_memo_is_bounded_and_holds_the_largest_tree_rank():
-    states = {d._state[:3] for d in vertices(MAX_TREE_RANK)}
-    assert len(states) == 291 <= _moves.cache_info().maxsize
+def test_one_walk_computes_each_states_moves_once(monkeypatch):
+    # Moves depend on (u, v, last) alone, so the walk asks for each state's
+    # moves once: 291 states at n = 16, against 18,067 vertices.
+    import chinese_monoid.tree as tree
+
+    states = {(MAX_TREE_RANK, *d._state[:3]) for d in vertices(MAX_TREE_RANK)}
+    calls = []
+
+    def counted(*state):
+        calls.append(state)
+        return _moves(*state)
+    monkeypatch.setattr(tree, "_moves", counted)
+    assert len(enumerate_leaves(MAX_TREE_RANK)) == tribonacci(MAX_TREE_RANK)
+    assert len(calls) == len(set(calls)) == len(states) == 291
+    assert set(calls) == states
+
+
+def test_no_moves_outlive_the_call_that_needs_them():
+    # A root has 2n - 3 moves; nothing may keep them once the caller is done.
+    tracemalloc.start()
+    try:
+        for n in range(3, 501):
+            assert not Diagram(n).is_leaf
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20, held
 
 
 def test_a_list_of_steps_is_stored_as_a_tuple():
