@@ -15,8 +15,8 @@ generator-image table, one column per component:
     column (it generates a free commutative factor).
 
 A table is stored by its columns, with a bicyclic entry p^i q^j as the int
-pair (i, j), and each mark's components and columns come from a memo bounded
-by one tree rank's marks, so the T_n leaves of rank n share them.  Their
+pair (i, j).  A leaf's marks and free block are read from a table of one
+rank, so the T_n leaves of rank n share their components and columns.  Their
 distinct columns are the n letter counts and the projections (x, y) for
 1 <= x < y <= n (pinned by `test_leaf_table_columns_are_the_projections`).
 The product of the images over all leaves decides word equality exactly, and
@@ -30,8 +30,7 @@ two or three letters, shows the first's congruence is not in the second's.
 
 from __future__ import annotations
 
-import functools
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bicyclic import IDENTITY, P, Q, product
 from .core import Frozen, Word, check_letters, pending
@@ -67,11 +66,20 @@ class LeafRepresentation(Frozen):
     schema: tuple[Component, ...]
     columns: tuple[tuple, ...]  # one per component; entry g-1 is generator g's
 
-    def __init__(self, leaf: Diagram, schema: tuple[Component, ...],
-                 columns: tuple[tuple, ...]) -> None:
-        object.__setattr__(self, "leaf", leaf)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "columns", columns)
+    def __new__(cls, leaf: Diagram, schema: Iterable[Component],
+                columns: Iterable[Iterable]) -> "LeafRepresentation":
+        schema, columns = tuple(schema), tuple(map(tuple, columns))
+        if len(schema) != len(columns) or any(len(column) != leaf.n for column in columns):
+            raise ValueError(f"a table needs one column of {leaf.n} entries per component")
+        return cls._built(leaf, schema, columns)
+
+    @classmethod
+    def _built(cls, leaf: Diagram, schema: tuple, columns: tuple) -> "LeafRepresentation":
+        rep = object.__new__(cls)  # unchecked: the mark table's entries fit the checks above
+        object.__setattr__(rep, "leaf", leaf)
+        object.__setattr__(rep, "schema", schema)
+        object.__setattr__(rep, "columns", columns)
+        return rep
 
     @property
     def n(self) -> int:
@@ -91,37 +99,48 @@ class LeafRepresentation(Frozen):
         return tuple(column[g - 1] for column in self.columns)
 
 
-# 256: room for every mark of one tree rank (150 at n = 16), so all its leaves
-# share their tables; a run over many ranks, or a leaf of rank 1000, keeps no more.
-@functools.lru_cache(maxsize=256)
-def _mark_table(n: int, mark: tuple) -> tuple[tuple[Component, ...], tuple[tuple, ...]]:
-    """The components of a mark, ("dot", s), ("arc", x, y) or ("free", g), and
-    their columns.  Every unit column at g is the free generator g's."""
-    if mark[0] == "free":
-        g = mark[1]
-        return (Component("N", mark),), ((0,) * (g - 1) + (1,) + (0,) * (n - g),)
-    unit = _mark_table(n, ("free", mark[1]))[1]
-    if mark[0] == "dot":
-        return (Component("N", mark),), unit
-    _, x, y = mark
-    return ((Component("B", mark), Component("Z", mark)),
-            ((P,) * x + (IDENTITY,) * (y - x - 1) + (Q,) * (n + 1 - y),) + unit)
+class _RankTable(dict):
+    """Components and columns of one rank's ("dot", s), ("arc", x, y) and free
+    blocks ("free", u, v), made on first use.  Unit column g is ("dot", g)'s."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __missing__(self, mark: tuple) -> tuple[tuple[Component, ...], tuple[tuple, ...]]:
+        if len(self) >= 256:  # a sweep of rank 16 needs 165 entries
+            self.clear()
+        n, kind, x, y = self.n, mark[0], mark[1], mark[-1]
+        if kind == "dot":
+            entry = (Component("N", mark),), ((0,) * (x - 1) + (1,) + (0,) * (n - x),)
+        elif kind == "arc":
+            column = (P,) * x + (IDENTITY,) * (y - x - 1) + (Q,) * (n + 1 - y)
+            entry = (Component("B", mark), Component("Z", mark)), (column,) + self["dot", x][1]
+        else:
+            free = (*range(1, x), *range(y + 1, n + 1))
+            entry = (tuple(Component("N", ("free", g)) for g in free),
+                     tuple(self["dot", g][1][0] for g in free))
+        self[mark] = entry
+        return entry
+
+
+_table = _RankTable(0)  # the last rank built; `build_representation` replaces it for another
 
 
 def build_representation(leaf: Diagram) -> LeafRepresentation:
     """Generator-image table of the leaf's quotient, per the module rules."""
+    global _table
     if not leaf.is_leaf:
         raise NotALeaf(f"{leaf.id!r} is not a leaf")
-    n = leaf.n
+    if (table := _table).n != leaf.n:  # a local, so another thread's rank cannot swap it
+        table = _table = _RankTable(leaf.n)
     u, v, _, marks = leaf._state
-    schema: list[Component] = []
-    columns: list[tuple] = []
-    free = [("free", g) for g in (*range(1, u), *range(v + 1, n + 1))]
-    for mark in (*marks, *free):
-        mark_schema, mark_columns = _mark_table(n, mark)
+    schema, columns = [], []
+    for mark_schema, mark_columns in map(table.__getitem__, (*marks, ("free", u, v))):
         schema += mark_schema
         columns += mark_columns
-    return LeafRepresentation(leaf, tuple(schema), tuple(columns))
+    return LeafRepresentation._built(leaf, tuple(schema), tuple(columns))
 
 
 def image(rep: LeafRepresentation, word: Word) -> ImageTuple:

@@ -1,11 +1,14 @@
 import functools
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chinese_monoid import representation
 from chinese_monoid.bicyclic import IDENTITY, P, Q
 from chinese_monoid.core import (StaircaseForm, WordSyntaxError,
                                  congruence_class, eq_oracle, to_staircase,
@@ -13,7 +16,7 @@ from chinese_monoid.core import (StaircaseForm, WordSyntaxError,
 from chinese_monoid.cli import MAX_TREE_RANK
 from chinese_monoid.representation import (BadLeafPair, Component,
                                            LeafRepresentation,
-                                           NotALeaf, NotAnArcStep, _mark_table,
+                                           NotALeaf, NotAnArcStep,
                                            arc_element_image, arc_unit_tuple,
                                            build_representation,
                                            eq_via_embedding, image, image_str,
@@ -60,23 +63,49 @@ def test_schema_counts_balance():
 
 
 def reference_build(leaf):
-    # Free generators as those no mark names, and the table by tuple
-    # concatenation, one mark at a time.
+    """(schema, columns) by the module docstring's rules, one mark at a time,
+    with the free generators as those no mark names."""
+    n = leaf.n
+
+    def unit(g):
+        return tuple(int(h == g) for h in range(1, n + 1))
+    schema, columns = [], []
+    for mark in leaf.marks:
+        if mark[0] == "dot":
+            schema.append(Component("N", mark))
+            columns.append(unit(mark[1]))
+        else:
+            _, x, y = mark
+            schema += [Component("B", mark), Component("Z", mark)]
+            columns += [tuple(P if g <= x else IDENTITY if g < y else Q for g in range(1, n + 1)),
+                        unit(x)]
     used = {g for mark in leaf.marks for g in mark[1:]}
-    schema, columns = (), ()
-    for mark in leaf.marks + tuple(("free", g) for g in range(1, leaf.n + 1) if g not in used):
-        mark_schema, mark_columns = _mark_table(leaf.n, mark)
-        schema += mark_schema
-        columns += mark_columns
-    return LeafRepresentation(leaf, schema, columns)
+    for g in range(1, n + 1):
+        if g not in used:
+            schema.append(Component("N", ("free", g)))
+            columns.append(unit(g))
+    return tuple(schema), tuple(columns)
 
 
 def test_build_matches_the_used_set_reference():
     for n in range(3, 13):
         for leaf in enumerate_leaves(n):
-            rep, want = build_representation(leaf), reference_build(leaf)
-            assert (rep.schema, rep.columns) == (want.schema, want.columns), leaf.id
+            rep = build_representation(leaf)
+            assert (rep.schema, rep.columns) == reference_build(leaf), leaf.id
             assert type(rep.schema) is type(rep.columns) is tuple
+
+
+def test_tables_of_the_benchmark_ranks_are_unchanged():
+    # The tables the `leaves` benchmark builds, n = 13..16, digested in
+    # enumeration order: the CLI's digests stop at `repr -n 7`.
+    digest = hashlib.sha256()
+    for n in range(13, MAX_TREE_RANK + 1):
+        for leaf in enumerate_leaves(n):
+            rep = build_representation(leaf)
+            digest.update(repr((leaf.id, [(c.kind, c.origin) for c in rep.schema],
+                                rep.columns)).encode())
+    assert digest.hexdigest() == \
+        "e51483c1b73f3653d1167ae6b411a5339c8eac421da883d4b8799ee57368845a"
 
 
 def test_representations_are_frozen():
@@ -89,6 +118,23 @@ def test_representations_are_frozen():
     assert again == rep and hash(again) == hash(rep)
     assert again.__eq__((rep.leaf, rep.schema, rep.columns)) is NotImplemented
     assert repr(rep).startswith("LeafRepresentation(leaf=Diagram(n=3, steps=(('d', 2), 'A')), schema=(")
+
+
+def test_a_table_is_stored_as_tuples_of_its_shape():
+    # Lists in, tuples stored, so the table equals and hashes like the built
+    # one; a schema and columns of different lengths, or a column without one
+    # entry per generator, are refused instead of giving a short image or an
+    # IndexError later.
+    rep = rep_for("d2 A", 3)
+    again = LeafRepresentation(rep.leaf, list(rep.schema), [list(c) for c in rep.columns])
+    assert again == rep and hash(again) == hash(rep)
+    assert type(again.schema) is type(again.columns) is type(again.columns[0]) is tuple
+    short = rep.columns[0][:2]
+    for schema, columns in ((rep.schema, rep.columns[:2]), (rep.schema[:2], rep.columns),
+                            (rep.schema, (short,) + rep.columns[1:]),
+                            (rep.schema, rep.columns[:2] + (rep.columns[2] + (0,),))):
+        with pytest.raises(ValueError, match="one column of 3 entries per component"):
+            LeafRepresentation(rep.leaf, schema, columns)
 
 
 def test_not_a_leaf():
@@ -282,9 +328,28 @@ def test_the_leaves_of_a_rank_share_each_column():
     assert len(shared) == 10 + 45
 
 
-def test_the_mark_memo_is_bounded_and_holds_the_largest_tree_rank():
-    marks = {comp.origin for rep in leaf_representations(MAX_TREE_RANK) for comp in rep.schema}
-    assert len(marks) == 150 <= _mark_table.cache_info().maxsize
+def test_one_sweep_of_the_largest_tree_rank_fits_the_mark_table():
+    # No entry is dropped while the leaves of rank 16 are built, and the
+    # table stays within its bound.
+    reps = leaf_representations(MAX_TREE_RANK)
+    table = representation._table
+    assert table.n == MAX_TREE_RANK and len(table) <= 256
+    assert {mark for rep in reps for mark in rep.leaf.marks} <= table.keys()
+
+
+def test_the_mark_table_holds_little_after_random_leaves_of_a_large_rank():
+    # Rank 300 has about 45,000 arcs, each with a column of 300 entries; a
+    # table that kept every mark these leaves use would hold tens of MiB.
+    rng = random.Random(0)
+    leaves = [random_leaf(Diagram(300), rng) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        for leaf in leaves:
+            build_representation(leaf)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2 ** 20
 
 
 # --- arc elements ------------------------------------------------------------
