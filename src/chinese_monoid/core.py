@@ -67,13 +67,9 @@ def parse_word(text: str, n: int) -> Word:
     the compact letter form ("cba", a=1..z=26, only meaningful for n <= 26).
     The empty string is the identity.
     """
-    if n < 1:
-        raise WordSyntaxError(f"rank must be >= 1, got {n}")
     text = text.strip()
-    if not text:
-        return ()
     tokens = text.split()
-    if all(tok.isdigit() for tok in tokens):
+    if all(tok.isdigit() for tok in tokens):  # the empty word too
         try:
             letters = tuple(int(tok) for tok in tokens)
         except ValueError:  # digits int() does not read ("²"), or too many of them
@@ -87,7 +83,9 @@ def parse_word(text: str, n: int) -> Word:
 
 
 def check_letters(word: Word, n: int) -> None:
-    """Raise WordSyntaxError unless every letter of `word` lies in 1..n."""
+    """Raise WordSyntaxError unless n >= 1 and every letter of `word` lies in 1..n."""
+    if n < 1:
+        raise WordSyntaxError(f"rank must be >= 1, got {n}")
     for x in word:
         if not 1 <= x <= n:
             raise WordSyntaxError(f"letter {x} outside 1..{n}")
@@ -143,11 +141,11 @@ def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[Word]:
         raise ValueError("cap must be positive")
     bits, sizes, table, rules = _coded_rules(extra, max(word, default=1).bit_length())
     scans = [(size, (1 << bits * size) - 1, range(len(word) - size + 1)) for size in sizes]
-    queue = deque([(_code(word, bits), word)])
-    seen = {queue[0][0]}
+    codes, words = deque([_code(word, bits)]), deque([word])  # the frontier: codes, their words
+    seen = {codes[0]}
     yield word
-    while queue:
-        c, w = queue.popleft()
+    while codes:
+        c, w = codes.popleft(), words.popleft()
         for size, mask, positions in scans:
             for pos in positions:
                 f = c >> bits * pos & mask
@@ -165,7 +163,8 @@ def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[Word]:
                         if len(seen) > cap:
                             raise ClassCapExceeded(
                                 f"congruence class of {format_word(word)!r} exceeds cap {cap}")
-                        queue.append((nb, member := w[:pos] + r + w[pos + size:]))
+                        codes.append(nb)
+                        words.append(member := w[:pos] + r + w[pos + size:])
                         yield member
 
 

@@ -17,11 +17,11 @@ partitions; boxplus computes each word's bicyclic images once per rank.
 
 `SUITES` is the one registry: each suite's runner and its parameters in
 report order, name -> (default, low, high).  `run_suite` refuses a parameter
-the suite does not read, fills in the defaults and checks every range before
-the runner starts, so no suite body sets a default or checks a bound.  The
-one exception is faithfulness's `max_len`, whose default (5 or 4) and cap
-(6 or 4) depend on `n`, and whose floor is 3 with `corrupt`: the tampered
-class has length 3, so a shorter run could not fail.
+the suite does not read or a value that is not an int, fills in the defaults
+and checks every range before the runner starts, so no suite body sets a
+default or checks a bound.  The one exception is faithfulness's floor of 3 on
+`max_len` with `corrupt`: the tampered class has length 3, so a shorter run
+could not fail.
 """
 
 from __future__ import annotations
@@ -126,12 +126,7 @@ def _run_counts(params: dict, rng: random.Random) -> tuple[int, list[str]]:
 
 
 def _run_faithfulness(params: dict, rng: random.Random) -> tuple[int, list[str]]:
-    n = params["n"]
-    if params["max_len"] is None:
-        params["max_len"] = 5 if n == 3 else 4
-    max_len = params["max_len"]
-    if n == 4 and max_len > 4:
-        raise BoundsExceeded(f"faithfulness needs 1 <= max_len <= 4 at n = 4, got {max_len}")
+    n, max_len = params["n"], params["max_len"]
     if params["corrupt"] and max_len < 3:
         raise BoundsExceeded(f"faithfulness with corrupt needs max_len >= 3, the length of "
                              f"the tampered relation class, got {max_len}")
@@ -250,11 +245,10 @@ def _run_schema(params: dict, rng: random.Random) -> tuple[int, list[str]]:
     return instances, failures
 
 
-#: Each suite's runner and parameters in report order: name -> (default, low,
-#: high).  A default of None is chosen by the runner.
+#: Each suite's runner and parameters in report order: name -> (default, low, high).
 SUITES = {
     "counts": (_run_counts, {"max_n": (12, 3, MAX_TREE_RANK)}),
-    "faithfulness": (_run_faithfulness, {"n": (3, 3, 4), "max_len": (None, 1, 6),
+    "faithfulness": (_run_faithfulness, {"n": (3, 3, 4), "max_len": (5, 1, 6),
                                          "corrupt": (False, False, True)}),
     "boxplus": (_run_boxplus, {"max_n": (5, 3, 6), "max_word_len": (3, 0, 4)}),
     "identity": (_run_identity, {"samples": (200, 1, 10_000), "max_n": (5, 3, 6),
@@ -283,8 +277,9 @@ def run_suite(name: str, seed: int = 0, **params) -> SuiteReport:
     """Run one suite and return its report.
 
     An unknown name raises UnknownSuite.  Before the runner starts, a
-    parameter the suite does not read or a value outside its range raises
-    BoundsExceeded; missing parameters take their defaults.
+    parameter the suite does not read, or a value that is not an int in its
+    range (a bool counts as one), raises BoundsExceeded; missing parameters
+    take their defaults.
     """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
@@ -296,8 +291,8 @@ def run_suite(name: str, seed: int = 0, **params) -> SuiteReport:
     params = dict(params, seed=seed)
     for key, (default, low, high) in table.items():
         value = params.setdefault(key, default)
-        if value is not None and not low <= value <= high:
-            raise BoundsExceeded(f"{name} needs {low} <= {key} <= {high}, got {value}")
+        if not isinstance(value, int) or not low <= value <= high:
+            raise BoundsExceeded(f"{name} needs {low} <= {key} <= {high}, got {value!r}")
     rng = random.Random(seed)
     start = time.perf_counter()
     instances, failures = runner(params, rng)

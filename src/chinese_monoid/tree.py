@@ -19,8 +19,8 @@ drift apart.
 One walk, `_walk`, visits a subtree in pre-order on one list of steps and one
 of marks, truncated to each vertex's depth.  It owns a table of moves by
 (u, v, last), which do not depend on the marks, and yields the shared lists,
-so `enumerate_leaves` copies them at the leaves alone, and the renderings
-build each id once and no `Diagram`.
+so `enumerate_leaves` copies them at the leaves alone, the renderings build
+no `Diagram`, and DOT writes each vertex's out-edges from its own moves.
 
 Vertices are written as ids like "d2 A L": initial token d<s> or a<s>, then
 A (arc above), L (dot left), R (dot right).
@@ -253,19 +253,14 @@ def render_ascii(d: Diagram) -> str:
 def render_dot(d: Diagram) -> str:
     """DOT graph of the subtree rooted at `d`, vertices labelled by id."""
     nodes = ["digraph diagram_tree {", "  node [shape=box fontname=\"monospace\"];"]
-    edges: list[list[str]] = []  # per inner vertex in pre-order: its edges, filled by its children
-    path: list[tuple[str, list[str]]] = []  # (id, edges) of each vertex from d down
-    for steps, _, depth, _, moves in _walk(d):
+    edges: list[str] = []
+    for steps, _, _, _, moves in _walk(d):
         vid = _vertex_id(steps)
         nodes.append(f'  "{vid}" [label="{vid}"{"" if moves else " style=bold"}];')
-        del path[depth:]
-        if path:
-            parent, out = path[-1]
-            out.append(f'  "{parent}" -> "{vid}";')
-        if moves:
-            edges.append([])
-            path.append((vid, edges[-1]))
-    return "\n".join(nodes + [edge for out in edges for edge in out] + ["}"])
+        for step, _, _ in moves:  # the child's id by the id grammar; below the root, one token
+            edges.append(f'  "{vid}" -> "{vid} {step}";' if steps
+                         else f'  "{vid}" -> "{step[0]}{step[1]}";')
+    return "\n".join(nodes + edges + ["}"])
 
 
 def render_outline(d: Diagram) -> str:

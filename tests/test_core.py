@@ -52,6 +52,17 @@ def test_parse_rejects_bad_input():
         parse_word("x!", 26)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_rank_below_1_is_refused_on_the_empty_word(n):
+    # The empty word has no letter to check, so the rank check must not sit
+    # in the letter loop: to_staircase((), 0) would build a form StaircaseForm
+    # refuses, and eq_via_embedding(0, (), ()) would answer True.
+    for call in (lambda: parse_word("", n), lambda: to_staircase((), n),
+                 lambda: eq_via_embedding(n, (), ())):
+        with pytest.raises(WordSyntaxError, match=f"rank must be >= 1, got {n}"):
+            call()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(), st.integers(-2, 30))
 @example("²", 3)         # a digit int() does not read

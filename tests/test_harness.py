@@ -48,7 +48,7 @@ def test_counts_report_contents():
     ("counts", {"max_n": 2}),
     ("counts", {"max_n": 40}),
     ("faithfulness", {"n": 5}),
-    ("faithfulness", {"n": 4, "max_len": 6}),
+    ("faithfulness", {"n": 4, "max_len": 7}),
     ("boxplus", {"max_n": 9}),
     ("identity", {"samples": 0}),
     ("centrality", {"max_len": 9}),
@@ -58,6 +58,10 @@ def test_counts_report_contents():
     ("faithfulness", {"n": 3, "max_len": -3}),
     ("counts", {"corrupt": True}),
     ("identity", {"n": 3}),
+    ("counts", {"max_n": None}),
+    ("counts", {"max_n": 3.5}),
+    ("faithfulness", {"corrupt": None}),
+    ("faithfulness", {"n": "4"}),
 ])
 def test_bounds_are_enforced(name, params):
     with pytest.raises(BoundsExceeded):
@@ -76,7 +80,7 @@ def test_bound_messages_state_the_full_range(name, params, bound):
 # Each suite's parameters in report order: name -> (default, low, high).
 TABLE = {
     "counts": {"max_n": (12, 3, 16)},
-    "faithfulness": {"n": (3, 3, 4), "max_len": (None, 1, 6), "corrupt": (False, False, True)},
+    "faithfulness": {"n": (3, 3, 4), "max_len": (5, 1, 6), "corrupt": (False, False, True)},
     "boxplus": {"max_n": (5, 3, 6), "max_word_len": (3, 0, 4)},
     "identity": {"samples": (200, 1, 10_000), "max_n": (5, 3, 6), "max_len": (4, 1, 6)},
     "centrality": {"max_n": (4, 3, 5), "max_len": (4, 0, 5)},
@@ -147,10 +151,10 @@ def test_counts_reports_a_wrong_leaf_count(monkeypatch):
                  ["n=3: 3 leaves, expected T_3=0", "n=4: 5 leaves, expected T_4=0"])
 
 
-def test_faithfulness_default_max_len_depends_on_n():
-    for n, max_len, words in ((3, 5, 364), (4, 4, 341)):
+def test_faithfulness_default_max_len_is_the_same_at_every_n():
+    for n, words in ((3, 364), (4, 1365)):
         report = run_suite("faithfulness", n=n)
-        assert report.passed and report.params["max_len"] == max_len
+        assert report.passed and report.params["max_len"] == 5
         assert report.instances == words * (words - 1) // 2
 
 
@@ -235,7 +239,7 @@ def pairwise_faithfulness(n, max_len, corrupt, seed):
     return instances, failures
 
 
-@pytest.mark.parametrize("n,max_len", [(3, m) for m in range(1, 6)] + [(4, m) for m in range(1, 5)])
+@pytest.mark.parametrize("n,max_len", [(3, m) for m in range(1, 6)] + [(4, m) for m in range(1, 6)])
 def test_faithfulness_partitions_match_the_pairwise_scan(monkeypatch, n, max_len):
     clean = run_suite("faithfulness", n=n, max_len=max_len)
     assert clean.passed and (clean.instances, clean.failures) == \
