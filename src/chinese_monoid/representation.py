@@ -187,11 +187,10 @@ def arc_element_image(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTup
 
 
 def arc_unit_tuple(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTuple:
-    """The expected arc-element image: 1 in the arc's own integer component."""
-    return tuple(
-        1 if comp.kind == "Z" and comp.origin == ("arc",) + arc else entry
-        for comp, entry in zip(rep.schema, image(rep, ()))
-    )
+    """The expected arc-element image: 1 in the arc's own integer component,
+    the identity in every other."""
+    own = Component("Z", ("arc", *arc))
+    return tuple(IDENTITY if comp.kind == "B" else int(comp == own) for comp in rep.schema)
 
 
 def incomparability_witness(r1: LeafRepresentation, r2: LeafRepresentation,

@@ -68,6 +68,15 @@ def test_bounds_are_enforced(name, params):
         run_suite(name, **params)
 
 
+@pytest.mark.parametrize("seed", [None, 2.5, "x"])
+def test_a_seed_that_is_not_an_int_is_refused_before_the_runner(monkeypatch, seed):
+    def runner(params, rng):
+        raise AssertionError("the runner started")
+    monkeypatch.setitem(harness.SUITES, "identity", (runner, harness.SUITES["identity"][1]))
+    with pytest.raises(BoundsExceeded, match=f"identity needs an int seed, got {seed!r}"):
+        run_suite("identity", seed=seed)
+
+
 @pytest.mark.parametrize("name,params,bound", [
     ("identity", {"samples": 0}, "1 <= samples <= 10000"),
     ("boxplus", {"max_word_len": -1}, "0 <= max_word_len <= 4"),
@@ -121,19 +130,82 @@ def test_centrality_labels_agree_with_the_oracle(n):
     verdicts = []
     for pairs, head in checks:
         class_id = harness._class_partition((head + w for w in words), pairs)
+        labels = []
         for w in words:
             labelled = class_id.get(w + head) == class_id[head + w]
             assert labelled is eq_oracle(head + w, w + head, pairs), (sorted(pairs), head, w)
-            verdicts.append(labelled)
+            labels.append(labelled)
+        # The suite's verdict: head commutes with every w iff with each letter.
+        letters = all(eq_oracle(head + (g,), (g,) + head, pairs) for g in range(1, n + 1))
+        assert letters is all(labels), (sorted(pairs), head)
+        verdicts += labels
     assert False in verdicts and True in verdicts
 
 
-def test_centrality_reports_a_weakened_congruence(monkeypatch):
-    real = harness.first_level_pairs
+def test_centrality_passes_without_labelling_any_word(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("labelled the words")
+    monkeypatch.setattr(harness, "_class_partition", forbidden)
+    report = run_suite("centrality")
+    assert report.passed and report.instances == 2068
 
-    def without_commutators(kind, s, n):
+
+def without_commutators(real):
+    def pairs(kind, s, n):
         return frozenset(pair for pair in real(kind, s, n) if len(pair[0]) != 2)
-    monkeypatch.setattr(harness, "first_level_pairs", without_commutators)
+    return pairs
+
+
+def without_a3_a2(real):
+    # Only the dot congruence at s = 2 is weakened: a_2 no longer commutes with a_3.
+    def pairs(kind, s, n):
+        weak = {((3, 2), (2, 3))} if (kind, s) == ("dot", 2) else set()
+        return real(kind, s, n) - weak
+    return pairs
+
+
+def per_word_centrality(max_n, max_len):
+    """The suite's report, checked by the oracle word by word."""
+    failures = []
+    instances = 0
+    for n in range(3, max_n + 1):
+        checks = [("dot", s, (s,)) for s in range(2, n)]
+        checks += [("arc", s, (s, s - 1)) for s in range(2, n + 1)]
+        for kind, s, head in checks:
+            pairs = harness.first_level_pairs(kind, s, n)
+            for w in words_up_to(n, max_len):
+                instances += 1
+                if not eq_oracle(head + w, w + head, pairs):
+                    failures.append(f"{kind} n={n} s={s} w={format_word(w)!r}")
+    return instances, failures
+
+
+@pytest.mark.parametrize("weaken", [without_commutators, without_a3_a2])
+@pytest.mark.parametrize("max_n,max_len", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_centrality_lists_the_failures_of_the_per_word_loop(monkeypatch, weaken, max_n, max_len):
+    monkeypatch.setattr(harness, "first_level_pairs", weaken(harness.first_level_pairs))
+    report = run_suite("centrality", max_n=max_n, max_len=max_len)
+    assert not report.passed
+    assert (report.instances, report.failures) == per_word_centrality(max_n, max_len)
+
+
+@pytest.mark.parametrize("weaken", [without_commutators, without_a3_a2])
+def test_centrality_at_max_len_0_passes_under_a_weakened_congruence(monkeypatch, weaken):
+    # A letter fails, but the only word, (), commutes with everything.
+    real_partition = harness._class_partition
+    labelled = []
+
+    def partition(words, extra):
+        labelled.append(extra)
+        return real_partition(words, extra)
+    monkeypatch.setattr(harness, "_class_partition", partition)
+    monkeypatch.setattr(harness, "first_level_pairs", weaken(harness.first_level_pairs))
+    report = run_suite("centrality", max_n=5, max_len=0)
+    assert labelled and report.passed and report.instances == 3 + 5 + 7
+
+
+def test_centrality_reports_a_weakened_congruence(monkeypatch):
+    monkeypatch.setattr(harness, "first_level_pairs", without_commutators(harness.first_level_pairs))
     report = run_suite("centrality", max_n=3, max_len=2)
     assert not report.passed
     assert report.failures[0].startswith("dot n=3 s=2 w=")

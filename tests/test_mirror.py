@@ -7,12 +7,15 @@ other end, so these checks give every layer a second path that shares none
 of its ordering, at no cost in production code.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chinese_monoid.core import congruence_class, eq_oracle, to_staircase
-from chinese_monoid.representation import build_representation, eq_via_embedding, image
+from chinese_monoid.representation import (build_representation, eq_via_embedding, image,
+                                           incomparability_witness, leaf_representations)
 from chinese_monoid.tree import enumerate_leaves, parse_id
 
 
@@ -85,3 +88,18 @@ def test_the_mirror_maps_each_leaf_id_to_a_leaf_id(n):
         assert twin.is_leaf
         assert sorted(twin.dots) == sorted(n + 1 - s for s in leaf.dots)
         assert sorted(twin.arcs) == sorted((n + 1 - y, n + 1 - x) for x, y in leaf.arcs)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_the_mirror_of_a_witness_is_a_witness_for_the_mirror_leaves(n):
+    # r1 identifies w, v and r2 separates them, so the mirror of r1 must
+    # identify the mirrors of w, v and the mirror of r2 separate them.
+    reps = leaf_representations(n)
+    twins = {rep.leaf.id: build_representation(parse_id(mirror_id(rep.leaf.id, n), n))
+             for rep in reps}
+    for r1, r2 in itertools.permutations(reps, 2):
+        w, v = incomparability_witness(r1, r2)
+        mw, mv = mirror(w, n), mirror(v, n)
+        t1, t2 = twins[r1.leaf.id], twins[r2.leaf.id]
+        assert image(t1, mw) == image(t1, mv), (r1.leaf.id, r2.leaf.id)
+        assert image(t2, mw) != image(t2, mv), (r1.leaf.id, r2.leaf.id)
