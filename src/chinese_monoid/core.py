@@ -472,19 +472,22 @@ def boxplus_failures(n: int, words: Sequence[Word],
 
     Every (variant, indices) of `tuples`, with indices its keyword arguments,
     meets every w of `words`, tuple-major and word-minor.  Every letter and
-    index is range-checked before any work, and each word's image under every
-    B(x, y) is computed once per call, which the suite makes once per rank.
-    Per tuple, the kept projections and their head and tail images are
-    computed once, so per (tuple, w) only integers are composed.  The two
-    multisets of words agree iff, at every kept projection, ij w kl = ij w lk
-    and ji w lk = ji w kl (straight) or ij w kl = ji w kl and ji w lk =
-    ij w lk (crossed).
+    index is range-checked before any work.  Under each B(x, y) the words are
+    grouped by image into int masks (bit i for words[i]) once per call, which
+    the suite makes once per rank.  Per tuple, the kept projections and their
+    head and tail images are computed once, and integers are composed once per
+    distinct image.  The two multisets of words agree iff, at every kept
+    projection, ij w kl = ij w lk and ji w lk = ji w kl (straight) or ij w kl =
+    ji w kl and ji w lk = ij w lk (crossed); a failing image clears its mask.
     """
     for x in itertools.chain(*words, *(map(t.get, "ijklm") for _, t in tuples)):
         if x is not None and not 1 <= x <= n:
             raise IndexConstraintViolated(f"index {x} outside 1..{n}")
-    pairs = [(x, y) for y in range(2, n + 1) for x in range(1, y)]
-    images = {(x, y): [projection(w, x, y) for w in words] for x, y in pairs}
+    masks = {(x, y): {} for y in range(2, n + 1) for x in range(1, y)}  # image -> words
+    for index, w in enumerate(words):
+        for (x, y), by_image in masks.items():
+            image = projection(w, x, y)
+            by_image[image] = by_image.get(image, 0) | 1 << index
     for variant, indices in tuples:
         admissible, m_first = _boxplus_rule(variant)
         i, j, k, l, m = map(indices.get, "ijklm")
@@ -497,26 +500,26 @@ def boxplus_failures(n: int, words: Sequence[Word],
         h1, h2 = prefix + (i, j), prefix + (j, i)
         t1, t2 = (k, l) + suffix, (l, k) + suffix
         (hlo, hhi), (tlo, thi) = sorted((i, j)), sorted((k, l))
-        kept = [(images[x, y], projection(h1, x, y)[1], projection(h2, x, y)[1],
+        kept = [(masks[x, y], projection(h1, x, y)[1], projection(h2, x, y)[1],
                  *projection(t1, x, y), *projection(t2, x, y))
-                for x, y in pairs  # elsewhere heads and tails commute: four equal images
+                for x, y in masks  # elsewhere heads and tails commute: four equal images
                 if hlo <= x and y <= hhi or tlo <= x and y <= thi]
-        for index, w in enumerate(words):
-            straight = crossed = True
-            for image, g1, g2, e1, f1, e2, f2 in kept:
+        straight = crossed = everyone = (1 << len(words)) - 1
+        for by_image, g1, g2, e1, f1, e2, f2 in kept:
+            for (c, d), mask in by_image.items():
                 # w -> p^c q^d and each tail -> p^e q^f; a head's p-exponent
                 # stays in front, so head * w -> p^. q^b and head * w * tail
                 # -> p^. q^(f + max(0, b - e)), as `bicyclic.product` folds it,
                 # inlined.  v1, v3 = ij w kl, ij w lk; v2, v4 = ji w lk, ji w kl.
-                c, d = image[index]
                 b1, b2 = (d + g1 - c if g1 > c else d), (d + g2 - c if g2 > c else d)
                 v1, v3 = (f1 + b1 - e1 if b1 > e1 else f1), (f2 + b1 - e2 if b1 > e2 else f2)
                 v2, v4 = (f2 + b2 - e2 if b2 > e2 else f2), (f1 + b2 - e1 if b2 > e1 else f1)
-                straight = straight and v1 == v3 and v2 == v4
-                crossed = crossed and v1 == v4 and v2 == v3
-                if not (straight or crossed):
-                    yield variant, indices, w
-                    break
+                straight &= ~(0 if v1 == v3 and v2 == v4 else mask)
+                crossed &= ~(0 if v1 == v4 and v2 == v3 else mask)
+        failing = everyone & ~(straight | crossed)
+        while failing:  # its set bits, lowest first
+            yield variant, indices, words[(failing & -failing).bit_length() - 1]
+            failing &= failing - 1
 
 
 def boxplus_tuples(n: int, variant: int) -> Iterator[dict[str, int]]:
@@ -524,6 +527,5 @@ def boxplus_tuples(n: int, variant: int) -> Iterator[dict[str, int]]:
     admissible, _ = _boxplus_rule(variant)
     fourth = "k" if variant == 22 else "m"
     for i, j, x, l in itertools.product(range(1, n + 1), repeat=4):
-        indices = {"i": i, "j": j, fourth: x, "l": l}
-        if admissible(**{"k": j + 1, "m": 0, **indices}):
-            yield indices
+        if admissible(i, j, x, l, 0) if variant == 22 else admissible(i, j, j + 1, l, x):
+            yield {"i": i, "j": j, fourth: x, "l": l}

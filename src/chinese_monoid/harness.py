@@ -9,11 +9,11 @@ arithmetic of the leaf schemas.  Suites are deterministic given their
 parameters; the sampled suite takes an explicit seed.  `import chinese_monoid`
 leaves this module unloaded until one of its names is read from the package.
 
-Faithfulness compares the embedding's partition of the words with the
-oracle's, from `_class_partition`, which closes each class once and labels
-all its members.  Centrality asks the oracle whether each element commutes
-with the n letters, which proves it for every word, and labels words only
-to list failures.  Boxplus computes each word's images once per rank.
+Faithfulness compares the oracle's partition of the words (`_class_partition`)
+with the embedding's (`column_values`, one fold per distinct column and word
+prefix).  Centrality asks the oracle whether each element commutes with the n
+letters, which proves it for every word, and labels words only to list
+failures.  Boxplus decides each projection's distinct images, not each word.
 
 `SUITES` is the one registry: each suite's runner and its parameters in
 report order, name -> (default, low, high).  `run_suite` refuses a parameter
@@ -33,7 +33,7 @@ from typing import Iterable
 
 from . import core, representation as rep_mod
 from .core import congruence_class, eq_oracle, first_level_pairs, words_up_to
-from .representation import (arc_unit_tuple, arc_element_image, image,
+from .representation import (arc_unit_tuple, arc_element_image, column_values, image,
                              incomparability_witness, leaf_representations)
 from .tree import MAX_TREE_RANK, enumerate_leaves, tribonacci
 
@@ -135,7 +135,7 @@ def _run_faithfulness(params: dict, rng: random.Random) -> tuple[int, list[str]]
     reps = leaf_representations(n)
     if params["corrupt"]:
         reps, params["corrupted_leaf"] = _corrupt_one(reps, rng)
-    signature = {w: tuple(image(rep, w) for rep in reps) for w in words}
+    signature = column_values(reps, words)
     # The verdicts agree on every pair iff the two partitions coincide, that
     # is iff the joint labels are no more than the labels of either side.
     labels = {(class_id[w], signature[w]) for w in words}

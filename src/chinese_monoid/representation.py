@@ -24,13 +24,14 @@ each component depends only on its column: N and Z columns add ints along
 the word, B columns multiply pairs by `bicyclic.product`.  So
 `eq_via_embedding`, the fast counterpart of the breadth-first oracle in
 `core`, compares those columns alone, in O(n |w| log |w|) with no per-rank
-set-up.  For any two distinct leaves, a word pair built from their arcs, in
-two or three letters, shows the first's congruence is not in the second's.
+set-up; `column_values` folds them once per word prefix of a word list.  For
+any two distinct leaves, a word pair built from their arcs, in two or three
+letters, shows the first's congruence is not in the second's.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .bicyclic import IDENTITY, P, Q, product
 from .core import Frozen, Word, check_letters, pending
@@ -150,6 +151,28 @@ def image(rep: LeafRepresentation, word: Word) -> ImageTuple:
     at = [letter - 1 for letter in word]
     return tuple((product if comp.kind == "B" else sum)(map(column.__getitem__, at))
                  for comp, column in zip(rep.schema, rep.columns))
+
+
+def column_values(reps: Sequence[LeafRepresentation], words: Sequence[Word]) -> dict[Word, tuple]:
+    """Each word's values on the distinct columns of one rank's `reps`, keyed by
+    value, so a tampered copy stays a column of its own; each rep's image is a
+    sub-tuple.  A word extends its longest prefix already folded, a letter per
+    step: N and Z entries add, B entries multiply by `bicyclic.product`."""
+    if len({rep.n for rep in reps}) != 1:
+        raise ValueError("column values need the representations of one rank")
+    columns = dict.fromkeys((comp.kind == "B", column) for rep in reps
+                            for comp, column in zip(rep.schema, rep.columns))
+    multiplies = tuple(is_b for is_b, _ in columns)
+    entries = [tuple(column[g] for _, column in columns) for g in range(reps[0].n)]
+    folded = {(): tuple(IDENTITY if is_b else 0 for is_b in multiplies)}
+    for word in words:
+        check_letters(word, reps[0].n)
+        start = next(cut for cut in range(len(word), -1, -1) if word[:cut] in folded)
+        for cut in range(start, len(word)):
+            folded[word[:cut + 1]] = tuple(
+                product((v, e)) if is_b else v + e
+                for is_b, v, e in zip(multiplies, folded[word[:cut]], entries[word[cut] - 1]))
+    return {word: folded[word] for word in words}
 
 
 def leaf_representations(n: int) -> tuple[LeafRepresentation, ...]:

@@ -664,11 +664,12 @@ def test_verify_boxplus_reports_inadmissible_tuples_as_false(monkeypatch):
     assert len(failing) == 32 and (1, 2, 1, 2) in failing
 
 
-@pytest.mark.parametrize("n,max_len", [(3, 2), (4, 1)])
+@pytest.mark.parametrize("n,max_len", [(3, 2), (4, 1), (3, 3), (4, 2)])
 def test_boxplus_failures_are_the_failing_instances_in_order(monkeypatch, n, max_len):
     # With variant 22 admitting every tuple, some instances fail; the batch
     # path must yield exactly those, tuple-major and word-minor, and the
-    # suite must report them in that order.
+    # suite must report them in that order.  At max_len 2 and 3 the words
+    # share their images, so one image's mask holds several words.
     monkeypatch.setitem(core._BOXPLUS, 22, (lambda i, j, k, l, m: True, False))
     words = list(words_up_to(n, max_len))
     tuples = [(variant, t) for variant in (22, 23, 32) for t in boxplus_tuples(n, variant)]

@@ -334,7 +334,7 @@ def test_faithfulness_partitions_match_the_pairwise_scan(monkeypatch, n, max_len
 def test_faithfulness_reports_a_tampered_partition(monkeypatch):
     # Merging two classes, merging two and splitting a third (the class and
     # image counts stay equal), and merging two images must each be reported.
-    real_partition, real_image = harness._class_partition, harness.image
+    real_partition, real_values = harness._class_partition, harness.column_values
 
     def tampered(words, extra=harness.core.NO_EXTRA):
         class_id = real_partition(words, extra)
@@ -349,7 +349,12 @@ def test_faithfulness_reports_a_tampered_partition(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(harness, "_class_partition", tampered)
             assert run_suite("faithfulness", n=3, max_len=3).failures == want
-    monkeypatch.setattr(harness, "image", lambda rep, w: real_image(rep, {(2, 1): (1, 2)}.get(w, w)))
+
+    def merged_images(reps, words):
+        values = real_values(reps, words)
+        return {**values, (2, 1): values[(1, 2)]}
+
+    monkeypatch.setattr(harness, "column_values", merged_images)
     report = run_suite("faithfulness", n=3, max_len=3)
     assert report.failures == ["('1 2', '2 1'): oracle=False, embedding=True"]
     assert report.instances == 40 * 39 // 2

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chinese_monoid import representation
-from chinese_monoid.bicyclic import IDENTITY, P, Q
+from chinese_monoid import harness, representation
+from chinese_monoid.bicyclic import IDENTITY, P, Q, product
 from chinese_monoid.core import (StaircaseForm, WordSyntaxError,
                                  congruence_class, eq_oracle, to_staircase,
                                  words_up_to)
@@ -18,7 +18,7 @@ from chinese_monoid.representation import (BadLeafPair, Component,
                                            LeafRepresentation,
                                            NotALeaf, NotAnArcStep,
                                            arc_element_image, arc_unit_tuple,
-                                           build_representation,
+                                           build_representation, column_values,
                                            eq_via_embedding, image, image_str,
                                            incomparability_witness,
                                            leaf_representations,
@@ -259,6 +259,70 @@ def test_image_matches_reference_fold_on_arbitrary_entries(case, data):
                     for comp in rep.schema)
     tampered = LeafRepresentation(rep.leaf, rep.schema, columns)
     assert image(tampered, word) == reference_image(tampered, word)
+
+
+def reference_column_values(reps, word):
+    """Each distinct column folded over the whole word at once, the reference
+    for the prefix fold of `column_values`."""
+    columns = dict.fromkeys((comp.kind == "B", column) for rep in reps
+                            for comp, column in zip(rep.schema, rep.columns))
+    return tuple((product if is_b else sum)(column[g - 1] for g in word)
+                 for is_b, column in columns)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_column_values_fold_each_distinct_column_once(n):
+    reps = leaf_representations(n)
+    words = list(words_up_to(n, 4))
+    values = column_values(reps, words)
+    assert list(values) == words
+    assert {len(value) for value in values.values()} == {n + n * (n - 1) // 2}
+    images = {w: tuple(image(rep, w) for rep in reps) for w in words}
+    for w in words:
+        assert values[w] == reference_column_values(reps, w), w
+        assert all(entry in values[w] for image_of_w in images[w] for entry in image_of_w)
+    # Equal values and equal images under every leaf give one partition.
+    assert len(set(values.values())) == len(set(images.values())) == \
+        len({(values[w], images[w]) for w in words})
+    # A word listed without its prefixes, or before them, gets the same values.
+    rng = random.Random(n)
+    lonely = [tuple(rng.randint(1, n) for _ in range(length)) for length in (3, 7, 12)]
+    for word in lonely:
+        assert column_values(reps, [word]) == {word: reference_column_values(reps, word)}
+    shuffled = rng.sample(words, len(words))
+    assert column_values(reps, shuffled + lonely) == \
+        {**values, **{word: reference_column_values(reps, word) for word in lonely}}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_column_values_refuse_letters_outside_the_rank(n):
+    reps = leaf_representations(n)
+    for bad in ((0,), (n + 1,), (1, n + 1), (1, 2, 0)):
+        with pytest.raises(WordSyntaxError):
+            column_values(reps, [(1,), bad])
+    with pytest.raises(ValueError, match="one rank"):
+        column_values(reps + leaf_representations(n + 1)[:1], [(1,)])
+    with pytest.raises(ValueError, match="one rank"):
+        column_values((), [()])
+
+
+def test_a_corrupted_column_stays_apart_from_the_shared_one():
+    # Columns are keyed by value: the p^2 copy that --corrupt plants is a
+    # column of its own, beside the true column that the other leaves share.
+    reps = leaf_representations(4)
+    for seed in range(6):
+        tampered, _ = harness._corrupt_one(reps, random.Random(seed))
+        bad = next(rep for rep, clean in zip(tampered, reps) if rep != clean)
+        width = len(column_values(reps, [()])[()])
+        assert len(column_values(reps + (bad,), [()])[()]) == width + 1
+        x, y = bad.leaf.arcs[0]
+        pair = [(y, x, y), (y, y, x)]  # one relation class, split by the p^2
+        clean_values = column_values(reps, pair)
+        assert clean_values[pair[0]] == clean_values[pair[1]]
+        tampered_values = column_values(tampered, pair)
+        assert tampered_values[pair[0]] != tampered_values[pair[1]]
+        for word in pair:
+            assert tampered_values[word] == reference_column_values(tampered, word)
 
 
 @st.composite
