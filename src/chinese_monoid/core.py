@@ -298,6 +298,23 @@ def projection(word: Word, x: int, y: int) -> tuple[int, int]:
     return product(P if g <= x else Q if g >= y else IDENTITY for g in word)
 
 
+def fold_prefixes(columns: Sequence[tuple[bool, tuple]], words: Sequence[Word]) -> dict[Word, tuple]:
+    """Each word's values on `columns`, (is_b, column) pairs, column[g-1] for
+    a_g: B entries take the `bicyclic.product` step, others add.  A word
+    extends its longest prefix already folded; the caller checks letters."""
+    multiplies = tuple(is_b for is_b, _ in columns)
+    rows = tuple(zip(*(column for _, column in columns)))  # rows[g-1]: generator g's
+    folded = {(): tuple(IDENTITY if is_b else 0 for is_b in multiplies)}
+    for word in words:
+        start = next(cut for cut in range(len(word), -1, -1) if word[:cut] in folded)
+        for cut in range(start, len(word)):
+            folded[word[:cut + 1]] = tuple([
+                ((v[0], v[1] - e[0] + e[1]) if v[1] >= e[0] else (v[0] + e[0] - v[1], e[1]))
+                if is_b else v + e
+                for is_b, v, e in zip(multiplies, folded[word[:cut]], rows[word[cut] - 1])])
+    return {word: folded[word] for word in words}
+
+
 def pending(word: Word, x: int) -> list[int]:
     """The letters still pending, largest first, once `word` is read left to
     right: each g > x is pushed, each g <= x removes the largest pending one.
@@ -473,20 +490,22 @@ def boxplus_failures(n: int, words: Sequence[Word],
     Every (variant, indices) of `tuples`, with indices its keyword arguments,
     meets every w of `words`, tuple-major and word-minor.  Every letter and
     index is range-checked before any work.  Under each B(x, y) the words are
-    grouped by image into int masks (bit i for words[i]) once per call, which
-    the suite makes once per rank.  Per tuple, the kept projections and their
-    head and tail images are computed once, and integers are composed once per
-    distinct image.  The two multisets of words agree iff, at every kept
-    projection, ij w kl = ij w lk and ji w lk = ji w kl (straight) or ij w kl =
-    ji w kl and ji w lk = ij w lk (crossed); a failing image clears its mask.
+    grouped by image into int masks (bit i for words[i]) by one `fold_prefixes`
+    of all projection columns per call, which the suite makes once per rank.
+    Per tuple, the kept projections and their head and tail images are
+    computed once, and integers are composed once per distinct image.  The two
+    multisets of words agree iff, at every kept projection, ij w kl = ij w lk
+    and ji w lk = ji w kl (straight) or ij w kl = ji w kl and ji w lk = ij w lk
+    (crossed); a failing image clears its mask.
     """
     for x in itertools.chain(*words, *(map(t.get, "ijklm") for _, t in tuples)):
         if x is not None and not 1 <= x <= n:
             raise IndexConstraintViolated(f"index {x} outside 1..{n}")
     masks = {(x, y): {} for y in range(2, n + 1) for x in range(1, y)}  # image -> words
+    values = fold_prefixes([(True, (P,) * x + (IDENTITY,) * (y - x - 1) + (Q,) * (n + 1 - y))
+                            for x, y in masks], words)
     for index, w in enumerate(words):
-        for (x, y), by_image in masks.items():
-            image = projection(w, x, y)
+        for by_image, image in zip(masks.values(), values[w]):
             by_image[image] = by_image.get(image, 0) | 1 << index
     for variant, indices in tuples:
         admissible, m_first = _boxplus_rule(variant)

@@ -11,9 +11,12 @@ leaves this module unloaded until one of its names is read from the package.
 
 Faithfulness compares the oracle's partition of the words (`_class_partition`)
 with the embedding's (`column_values`, one fold per distinct column and word
-prefix).  Centrality asks the oracle whether each element commutes with the n
-letters, which proves it for every word, and labels words only to list
-failures.  Boxplus decides each projection's distinct images, not each word.
+prefix), and lists failures from the classes that differ, not from every pair.
+Centrality asks the oracle whether each element commutes with the n letters,
+which proves it for every word, and labels words only to list failures.
+Boxplus decides each projection's distinct images, not each word.  Schema
+reads each leaf's table as generator rows once and checks each arc (x, y) by
+multiplying rows y and x against the expected unit tuple.
 
 `SUITES` is the one registry: each suite's runner and its parameters in
 report order, name -> (default, low, high).  `run_suite` refuses a parameter
@@ -26,15 +29,17 @@ could not fail.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import time
 from typing import Iterable
 
 from . import core, representation as rep_mod
+from .bicyclic import IDENTITY
 from .core import congruence_class, eq_oracle, first_level_pairs, words_up_to
-from .representation import (arc_unit_tuple, arc_element_image, column_values, image,
-                             incomparability_witness, leaf_representations)
+from .representation import (column_values, image, incomparability_witness,
+                             leaf_representations)
 from .tree import MAX_TREE_RANK, enumerate_leaves, tribonacci
 
 
@@ -142,14 +147,21 @@ def _run_faithfulness(params: dict, rng: random.Random) -> tuple[int, list[str]]
     pairs = len(words) * (len(words) - 1) // 2
     if len(labels) == len({class_id[w] for w in words}) == len(set(signature.values())):
         return pairs, []
+    members = {}  # each class id (an int) and each signature (a tuple) -> its word indices
+    for index, w in enumerate(words):
+        members.setdefault(class_id[w], []).append(index)
+        members.setdefault(signature[w], []).append(index)
+    # Word a disagrees with the later words in just one of its class and signature.
+    apart = {(c, s): sorted(set(members[c]).symmetric_difference(members[s])) for c, s in labels}
     failures = []
-    for instances, (wa, wb) in enumerate(itertools.combinations(words, 2), 1):
-        oracle_eq = class_id[wa] == class_id[wb]
-        embed_eq = signature[wa] == signature[wb]
-        if oracle_eq != embed_eq:
-            failures.append(f"({core.format_word(wa)!r}, {core.format_word(wb)!r}): "
-                            f"oracle={oracle_eq}, embedding={embed_eq}")
-            if len(failures) >= 20:
+    for a, wa in enumerate(words):
+        others = apart[class_id[wa], signature[wa]]
+        for b in others[bisect.bisect(others, a):]:
+            oracle_eq = class_id[words[b]] == class_id[wa]
+            failures.append(f"({core.format_word(wa)!r}, {core.format_word(words[b])!r}): "
+                            f"oracle={oracle_eq}, embedding={not oracle_eq}")
+            if len(failures) >= 20:  # the 1-based index of (a, b) in combinations(words, 2)
+                instances = a * (2 * len(words) - a - 3) // 2 + b
                 return instances, failures + ["... further discrepancies suppressed"]
     return pairs, failures
 
@@ -232,15 +244,26 @@ def _run_schema(params: dict, rng: random.Random) -> tuple[int, list[str]]:
     for n in range(3, params["max_n"] + 1):
         total = 0
         for rep in leaf_representations(n):
-            instances += 1
-            combined = rep.c + 2 * rep.d
+            kinds, arcs = [comp.kind for comp in rep.schema], rep.leaf.arcs
+            instances += 1 + len(arcs)
+            combined = kinds.count("N") + 2 * kinds.count("B")
             total += combined
             if combined != n:
                 failures.append(f"n={n} leaf {rep.leaf.id!r}: c+2d = {combined} != {n}")
-            for arc in rep.leaf.arcs:
-                instances += 1
-                if arc_element_image(rep, arc) != arc_unit_tuple(rep, arc):
-                    failures.append(f"n={n} leaf {rep.leaf.id!r}: arc {arc} image not a unit")
+            # a_y a_x, rows[y-1] times rows[x-1], must be the neutral tuple but
+            # for 1 at each component equal to Component("Z", ("arc", x, y)).
+            rows = list(zip(*rep.columns))
+            neutral, z_at = [IDENTITY if kind == "B" else 0 for kind in kinds], {}
+            for index in [index for index, kind in enumerate(kinds) if kind == "Z"]:
+                z_at.setdefault(rep.schema[index].origin, []).append(index)
+            for x, y in arcs:
+                unit = neutral.copy()
+                for index in z_at.get(("arc", x, y), ()):
+                    unit[index] = 1
+                if unit != [((a[0], a[1] - e[0] + e[1]) if a[1] >= e[0] else
+                             (a[0] + e[0] - a[1], e[1])) if kind == "B" else a + e
+                            for kind, a, e in zip(kinds, rows[y - 1], rows[x - 1])]:
+                    failures.append(f"n={n} leaf {rep.leaf.id!r}: arc {(x, y)} image not a unit")
         want = n * tribonacci(n)
         instances += 1
         if total != want:

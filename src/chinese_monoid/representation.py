@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .bicyclic import IDENTITY, P, Q, product
-from .core import Frozen, Word, check_letters, pending
+from .core import Frozen, Word, check_letters, fold_prefixes, pending
 from .tree import Diagram, enumerate_leaves
 
 
@@ -156,23 +156,14 @@ def image(rep: LeafRepresentation, word: Word) -> ImageTuple:
 def column_values(reps: Sequence[LeafRepresentation], words: Sequence[Word]) -> dict[Word, tuple]:
     """Each word's values on the distinct columns of one rank's `reps`, keyed by
     value, so a tampered copy stays a column of its own; each rep's image is a
-    sub-tuple.  A word extends its longest prefix already folded, a letter per
-    step: N and Z entries add, B entries multiply by `bicyclic.product`."""
+    sub-tuple.  `core.fold_prefixes` extends each word's longest prefix
+    already folded, a letter per step."""
     if len({rep.n for rep in reps}) != 1:
         raise ValueError("column values need the representations of one rank")
-    columns = dict.fromkeys((comp.kind == "B", column) for rep in reps
-                            for comp, column in zip(rep.schema, rep.columns))
-    multiplies = tuple(is_b for is_b, _ in columns)
-    entries = [tuple(column[g] for _, column in columns) for g in range(reps[0].n)]
-    folded = {(): tuple(IDENTITY if is_b else 0 for is_b in multiplies)}
     for word in words:
         check_letters(word, reps[0].n)
-        start = next(cut for cut in range(len(word), -1, -1) if word[:cut] in folded)
-        for cut in range(start, len(word)):
-            folded[word[:cut + 1]] = tuple(
-                product((v, e)) if is_b else v + e
-                for is_b, v, e in zip(multiplies, folded[word[:cut]], entries[word[cut] - 1]))
-    return {word: folded[word] for word in words}
+    return fold_prefixes(dict.fromkeys((comp.kind == "B", column) for rep in reps
+                                       for comp, column in zip(rep.schema, rep.columns)), words)
 
 
 def leaf_representations(n: int) -> tuple[LeafRepresentation, ...]:
@@ -207,13 +198,6 @@ def arc_element_image(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTup
         raise NotAnArcStep(f"{arc} is not an arc of leaf {rep.leaf.id!r}")
     x, y = arc
     return image(rep, (y, x))
-
-
-def arc_unit_tuple(rep: LeafRepresentation, arc: tuple[int, int]) -> ImageTuple:
-    """The expected arc-element image: 1 in the arc's own integer component,
-    the identity in every other."""
-    own = Component("Z", ("arc", *arc))
-    return tuple(IDENTITY if comp.kind == "B" else int(comp == own) for comp in rep.schema)
 
 
 def incomparability_witness(r1: LeafRepresentation, r2: LeafRepresentation,

@@ -3,6 +3,7 @@ componentwise image product the tests fold as `image`'s reference."""
 
 from chinese_monoid.bicyclic import IDENTITY, product
 from chinese_monoid.core import projection
+from chinese_monoid.representation import Component
 
 
 def decode_staircase(word, n):
@@ -83,6 +84,13 @@ def bicyclic_mul(x, y):
 def identity_tuple(schema):
     """The identity image of a leaf schema: IDENTITY in B, 0 elsewhere."""
     return tuple(IDENTITY if comp.kind == "B" else 0 for comp in schema)
+
+
+def arc_unit_tuple(rep, arc):
+    """The expected arc-element image: 1 in each integer component equal to
+    the arc's own, the identity in every other."""
+    own = Component("Z", ("arc", *arc))
+    return tuple(IDENTITY if comp.kind == "B" else int(comp == own) for comp in rep.schema)
 
 
 def tuple_mul(schema, a, b):

@@ -10,11 +10,10 @@ import pytest
 
 from chinese_monoid.core import congruence_class, eq_oracle, words_up_to
 from chinese_monoid.harness import run_suite
-from chinese_monoid.representation import (arc_unit_tuple, arc_element_image,
-                                           eq_via_embedding, image,
+from chinese_monoid.representation import (arc_element_image, eq_via_embedding, image,
                                            leaf_representations)
 from chinese_monoid.tree import enumerate_leaves, tribonacci
-from oracles import decode_staircase
+from oracles import arc_unit_tuple, decode_staircase
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +11,10 @@ from chinese_monoid import core, harness
 from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
                                  StaircaseForm, WordSyntaxError, boxplus_failures,
                                  boxplus_tuples, congruence_class, count_classes,
-                                 eq_oracle, first_level_pairs, format_word, multiply,
-                                 parse_word, pending, projection, to_staircase,
+                                 eq_oracle, first_level_pairs, fold_prefixes, format_word,
+                                 multiply, parse_word, pending, projection, to_staircase,
                                  verify_boxplus, words_up_to)
-from chinese_monoid.bicyclic import product
+from chinese_monoid.bicyclic import IDENTITY, P, Q, product
 from chinese_monoid.representation import eq_via_embedding
 from oracles import decode_staircase, reduce_pq_string, reference_staircase
 
@@ -683,6 +684,45 @@ def test_boxplus_failures_are_the_failing_instances_in_order(monkeypatch, n, max
         assert report.instances == len(tuples) * len(words)
         assert report.failures == [f"n=3 variant={variant} {t} w={format_word(w)!r}"
                                    for variant, t, w in want]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fold_prefixes_gives_projections_and_counts_in_any_listing(n):
+    # Every projection column and every letter-count column, over words
+    # listed out of order, twice, and without their prefixes.
+    pairs = [(x, y) for y in range(2, n + 1) for x in range(1, y)]
+    columns = [(True, tuple(P if g <= x else Q if g >= y else IDENTITY for g in range(1, n + 1)))
+               for x, y in pairs]
+    columns += [(False, tuple(int(g == h) for g in range(1, n + 1))) for h in range(1, n + 1)]
+    rng = random.Random(n)
+    words = list(words_up_to(n, 3))
+    listed = [tuple(rng.randint(1, n) for _ in range(length)) for length in (4, 7, 12)]
+    listed += rng.sample(words, len(words)) + words[::5]
+    values = fold_prefixes(columns, listed)
+    assert list(values) == list(dict.fromkeys(listed))
+    for w in listed:
+        assert values[w] == (tuple(projection(w, x, y) for x, y in pairs)
+                             + tuple(w.count(h) for h in range(1, n + 1))), w
+
+
+@pytest.mark.parametrize("n,max_len", [(3, 3), (4, 2)])
+def test_boxplus_masks_group_any_listing_by_projection(monkeypatch, n, max_len):
+    # Words out of order, twice, and without their prefixes: boxplus_failures
+    # on the whole list yields what verify_boxplus says of each word alone,
+    # and that is what the normal forms say.
+    monkeypatch.setitem(core._BOXPLUS, 22, (lambda i, j, k, l, m: True, False))
+    rng = random.Random(n)
+    words = list(words_up_to(n, max_len))
+    listed = [tuple(rng.randint(1, n) for _ in range(6))] + rng.sample(words, len(words))
+    listed += words[::3]
+    tuples = [(variant, t) for variant in (22, 23, 32) for t in boxplus_tuples(n, variant)]
+    got = list(boxplus_failures(n, listed, tuples))
+    assert len(got) >= 32
+    assert got == [(variant, t, w) for variant, t in tuples for w in listed
+                   if not verify_boxplus(n, variant, w, **t)]
+    assert got == [(variant, t, w) for variant, t in tuples for w in listed
+                   if not normal_form_multisets_agree(n, w, t["i"], t["j"], t.get("k", t["j"] + 1),
+                                                      t["l"], t.get("m"), variant == 32)]
 
 
 def test_boxplus_failures_checks_every_letter_and_index():

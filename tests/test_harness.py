@@ -8,7 +8,10 @@ from chinese_monoid.core import (congruence_class, eq_oracle, first_level_pairs,
                                  format_word, words_up_to)
 from chinese_monoid.harness import (DEFAULT_BATTERY, SUITE_NAMES,
                                     BoundsExceeded, UnknownSuite, run_suite)
-from chinese_monoid.representation import LeafRepresentation, image, leaf_representations
+from chinese_monoid.representation import (Component, LeafRepresentation, arc_element_image,
+                                           image, leaf_representations)
+from chinese_monoid.tree import tribonacci
+from oracles import arc_unit_tuple
 
 
 def test_suite_names_are_complete():
@@ -276,6 +279,85 @@ def test_schema_reports_tampered_tables(monkeypatch):
                           "n=3 leaf 'a2': c+2d = 2 != 3",
                           "n=3: sum of c+2d over leaves is 8, expected 9"])
     assert report.instances == 7
+
+
+def reference_schema(max_n):
+    """The schema suite with one `arc_element_image` per arc, each compared
+    with `arc_unit_tuple`: the reference for the row-wise check."""
+    failures = []
+    instances = 0
+    for n in range(3, max_n + 1):
+        total = 0
+        for rep in harness.leaf_representations(n):
+            instances += 1 + len(rep.leaf.arcs)
+            total += rep.c + 2 * rep.d
+            if rep.c + 2 * rep.d != n:
+                failures.append(f"n={n} leaf {rep.leaf.id!r}: c+2d = {rep.c + 2 * rep.d} != {n}")
+            failures += (f"n={n} leaf {rep.leaf.id!r}: arc {arc} image not a unit"
+                         for arc in rep.leaf.arcs
+                         if arc_element_image(rep, arc) != arc_unit_tuple(rep, arc))
+        instances += 1
+        if total != n * tribonacci(n):
+            failures.append(f"n={n}: sum of c+2d over leaves is {total}, "
+                            f"expected {n * tribonacci(n)}")
+    return instances, failures
+
+
+def _tamper(rep, kind, rng):
+    """One seeded defect in a leaf table, around one of its arcs (x, y): a B
+    entry changed at x or y in another arc's column, an N column given 1 at x
+    or y, the arc's own Z component duplicated or relabelled N, or any
+    component dropped."""
+    schema, columns = list(rep.schema), list(rep.columns)
+    x, y = rng.choice(rep.leaf.arcs)
+    if kind in ("b_entry", "n_endpoint"):
+        index = rng.choice([i for i, comp in enumerate(schema) if comp.kind == kind[0].upper()
+                            and comp.origin != ("arc", x, y)])
+        column = list(columns[index])
+        g = rng.choice((x, y))
+        column[g - 1] = 1 if kind == "n_endpoint" else rng.choice(
+            [e for e in (P, Q, IDENTITY, (2, 0), (0, 2), (1, 1)) if e != column[g - 1]])
+        columns[index] = tuple(column)
+    elif kind == "own_z_twice":
+        index = schema.index(Component("Z", ("arc", x, y)))
+        at = rng.randint(0, len(schema))
+        schema.insert(at, schema[index])
+        columns.insert(at, columns[index])
+    elif kind == "own_z_as_n":
+        schema[schema.index(Component("Z", ("arc", x, y)))] = Component("N", ("arc", x, y))
+    else:  # "dropped"
+        index = rng.randrange(len(schema))
+        del schema[index], columns[index]
+    return LeafRepresentation(rep.leaf, schema, columns)
+
+
+def test_schema_matches_the_per_arc_reference_on_every_leaf():
+    for max_n in range(3, 13):
+        report = run_suite("schema", max_n=max_n)
+        assert report.passed
+        assert (report.instances, report.failures) == reference_schema(max_n)
+
+
+@pytest.mark.parametrize("kind", ["b_entry", "n_endpoint", "own_z_twice", "own_z_as_n", "dropped"])
+def test_schema_matches_the_per_arc_reference_on_tampered_tables(monkeypatch, kind):
+    real = harness.leaf_representations
+    arcs_needed = 2 if kind == "b_entry" else 1  # the arc, and another arc's B column
+    failed = 0
+    for seed in range(12):
+        def tampered(n):
+            rng = random.Random(seed * 100 + n)
+            reps = list(real(n))
+            for index in rng.sample(range(len(reps)), min(3, len(reps))):
+                rep = reps[index]
+                if len(rep.leaf.arcs) >= arcs_needed and (kind != "n_endpoint" or rep.c):
+                    reps[index] = _tamper(rep, kind, rng)
+            return tuple(reps)
+        monkeypatch.setattr(harness, "leaf_representations", tampered)
+        report = run_suite("schema", max_n=7)
+        assert (report.instances, report.failures) == reference_schema(7), seed
+        failed += not report.passed
+    # A duplicated own Z column reads 1 wherever the arc's own does: no defect.
+    assert failed == 0 if kind == "own_z_twice" else failed >= 10
 
 
 def test_failure_injection_breaks_faithfulness():

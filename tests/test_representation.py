@@ -17,14 +17,14 @@ from chinese_monoid.cli import MAX_TREE_RANK
 from chinese_monoid.representation import (BadLeafPair, Component,
                                            LeafRepresentation,
                                            NotALeaf, NotAnArcStep,
-                                           arc_element_image, arc_unit_tuple,
+                                           arc_element_image,
                                            build_representation, column_values,
                                            eq_via_embedding, image, image_str,
                                            incomparability_witness,
                                            leaf_representations,
                                            representation_json)
 from chinese_monoid.tree import Diagram, children, enumerate_leaves, parse_id, tribonacci
-from oracles import identity_tuple, tuple_mul
+from oracles import arc_unit_tuple, identity_tuple, tuple_mul
 
 
 def rep_for(leaf_id: str, n: int):
