@@ -24,7 +24,7 @@ USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
 
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
 MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # normalize, mul, eq; none costs over O(n log |w|) a letter
-MAX_ORACLE_LETTERS = 64  # per word: the closure may hold DEFAULT_CAP words of this length
+MAX_ORACLE_LETTERS = 64  # per word: DEFAULT_CAP words this long, as text, peak near 50 MB
 
 
 def _suite_flags() -> dict[str, dict[str, tuple]]:

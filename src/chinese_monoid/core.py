@@ -17,7 +17,7 @@ as a (p, q) pair), which `boxplus_failures` compares, and the letters
 `pending` leaves, which give every projection (x, ·) at once for
 `representation.eq_via_embedding`, fix the same exponents: the independent check.
 The breadth-first closure of the relations (`congruence_class`, `eq_oracle`,
-on int-coded words, rule tables in a bounded memo) is the oracle the tests
+on words as text, one rule dict per call) is the oracle the tests
 and suites check everything else against, correct by construction at desk
 scale.  It sorts each length-3 factor into i <= k <= j and, if it is (j,i,k),
 (j,k,i) or (k,j,i), replaces it by the other two; `eq_oracle` stops at its target.
@@ -107,65 +107,56 @@ def words_up_to(n: int, max_len: int) -> Iterator[Word]:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4096)
-def _relation_rewrites(factor: Word) -> frozenset[Word]:
+def _relation_rewrites(factor: str) -> tuple[str, ...]:
     # A length-3 factor with letters i <= k <= j lies in the relation class
-    # {(j,i,k), (j,k,i), (k,j,i)} or in none; return the class's other members.
+    # (j i k, j k i, k j i) or in none; return the class's other members.
     if len(factor) != 3:
-        return frozenset()
+        return ()
     i, k, j = sorted(factor)
-    members = {(j, i, k), (j, k, i), (k, j, i)}
-    return frozenset(members - {factor}) if factor in members else frozenset()
+    members = dict.fromkeys((j + i + k, j + k + i, k + j + i))
+    return tuple(m for m in members if m != factor) if factor in members else ()
 
 
-def _code(word: Word, bits: int) -> int:
-    return sum(x << bits * pos for pos, x in enumerate(word))
+def _text(word: Word) -> str:
+    # The oracle's form of a word: letter g is the character chr(g).
+    try:
+        return "".join(map(chr, word))
+    except (ValueError, OverflowError):
+        raise ValueError("the oracle takes letters in 0..0x10FFFF") from None
 
 
-@functools.lru_cache(maxsize=256)
-def _coded_rules(extra: CongruencePairs, bits: int) -> tuple[int, list[int], dict, dict]:
-    # (bits, factor sizes, extra rewrites, coded rules); see congruence_class.
-    bits = max(bits, max((x for u, v in extra for x in u + v), default=1).bit_length())
-    table: dict[Word, set[Word]] = {}
-    for u, v in extra:
-        if len(u) != len(v):
-            raise ValueError(f"inhomogeneous congruence pair ({u}, {v})")
-        if u != v:  # a copy: the memoised relation rule is shared by every call
-            table.setdefault(u, set(_relation_rewrites(u))).add(v)
-            table.setdefault(v, set(_relation_rewrites(v))).add(u)
-    return bits, sorted({3, *map(len, table)}), table, {}
-
-
-def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[Word]:
-    # Yields each member once, in the order generated; see congruence_class.
+def _closure(word: Word, extra: CongruencePairs, cap: int) -> Iterator[str]:
+    # Yields each member once as text, in the order generated; see congruence_class.
     if cap <= 0:
         raise ValueError("cap must be positive")
-    bits, sizes, table, rules = _coded_rules(extra, max(word, default=1).bit_length())
-    scans = [(size, (1 << bits * size) - 1, range(len(word) - size + 1)) for size in sizes]
-    codes, words = deque([_code(word, bits)]), deque([word])  # the frontier: codes, their words
-    seen = {codes[0]}
-    yield word
-    while codes:
-        c, w = codes.popleft(), words.popleft()
-        for size, mask, positions in scans:
-            for pos in positions:
-                f = c >> bits * pos & mask
-                rule = rules.get(f)
-                if rule is None:
-                    factor = w[pos:pos + size]
-                    rule = tuple((_code(r, bits) - f, r)
-                                 for r in table.get(factor) or _relation_rewrites(factor))
-                    if len(rules) < DEFAULT_CAP:  # as many as one closure's words
-                        rules[f] = rule
-                for change, r in rule:
-                    nb = c + (change << bits * pos)
-                    if nb not in seen:
-                        seen.add(nb)
-                        if len(seen) > cap:
-                            raise ClassCapExceeded(
-                                f"congruence class of {format_word(word)!r} exceeds cap {cap}")
-                        codes.append(nb)
-                        words.append(member := w[:pos] + r + w[pos + size:])
-                        yield member
+    start = _text(word)
+    rules: dict[str, tuple[str, ...]] = {}  # factor -> replacements, filled on first use
+    for u, v in extra:  # a frozenset of int tuples iterates in the same order under any hash seed
+        if len(u) != len(v):
+            raise ValueError(f"inhomogeneous congruence pair ({u}, {v})")
+        u, v = _text(u), _text(v)
+        rules[u] = rules.get(u, _relation_rewrites(u)) + (v,)
+        rules[v] = rules.get(v, _relation_rewrites(v)) + (u,)
+    sizes = sorted({3, *map(len, rules)})
+    seen, frontier = {start}, deque((start,))
+    yield start
+    while frontier:
+        w = frontier.popleft()
+        for size in sizes:
+            for pos in range(len(w) - size + 1):
+                factor = w[pos:pos + size]
+                if (rule := rules.get(factor)) is None:
+                    rule = rules[factor] = _relation_rewrites(factor)
+                if rule:
+                    head, tail = w[:pos], w[pos + size:]
+                    for r in rule:
+                        if (member := f"{head}{r}{tail}") not in seen:  # one allocation, not two
+                            seen.add(member)
+                            if len(seen) > cap:
+                                raise ClassCapExceeded(
+                                    f"congruence class of {format_word(word)!r} exceeds cap {cap}")
+                            frontier.append(member)
+                            yield member
 
 
 def congruence_class(word: Word, extra: CongruencePairs = NO_EXTRA,
@@ -173,14 +164,11 @@ def congruence_class(word: Word, extra: CongruencePairs = NO_EXTRA,
     """Breadth-first closure of `word` under the defining relations plus the
     `extra` pairs (substituted in both directions at every position).
 
-    A word is the int sum(x << bits*pos), `bits` the bit length of its and
-    `extra`'s largest letter; factor code `code >> bits*pos & mask` maps to
-    ((change, replacement), ...) and a new neighbour code + (change << bits*pos)
-    gets its parent's tuple rewritten.  A memo of 256 (extra, word bits) keys
-    keeps the extra pairs both ways and up to DEFAULT_CAP coded rules met.
-    Members have the length of `word`; more than `cap` raise ClassCapExceeded.
+    It runs on text, letter g the character chr(g) for g in 0..0x10FFFF; a
+    dict of the call maps each factor to its replacements.  Members have the
+    length of `word`; more than `cap` raise ClassCapExceeded.
     """
-    return set(_closure(word, extra, cap))
+    return {tuple(map(ord, member)) for member in _closure(word, extra, cap)}
 
 
 def eq_oracle(w: Word, v: Word, extra: CongruencePairs = NO_EXTRA,
@@ -191,12 +179,12 @@ def eq_oracle(w: Word, v: Word, extra: CongruencePairs = NO_EXTRA,
     is generated, so `cap` bounds only the words generated before that; a
     False verdict closes the whole class.  Congruences here are homogeneous,
     so words of different lengths are unequal without running the closure.
+    The arguments are checked first, whatever the words.
     """
-    if len(w) != len(v):
-        return False
-    if w == v:
-        return True
-    return v in _closure(w, extra, cap)
+    members = _closure(w, extra, cap)
+    next(members)  # checks cap, extra and w's letters; the first member is w
+    target = _text(v)
+    return len(w) == len(v) and (w == v or target in members)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,21 +163,15 @@ def test_congruence_class_matches_reference_closure(n, max_len, with_pairs):
 def test_extra_pairs_leave_the_memoised_rules_unchanged():
     # The arc pairs rewrite (3, 1, 2), a relation factor whose memoised rule
     # every later closure reads; an extra pair must extend a copy of it, in
-    # a coded table of its own.
+    # a table of its own.
     extra = first_level_pairs("arc", 2, 3)
     assert ((3, 1, 2), (2, 1, 3)) in extra
     with_pairs, plain = reference_classes(3, 3, extra), reference_classes(3, 3)
     for word in words_up_to(3, 3):
         assert congruence_class(word, extra) == with_pairs[word], word
         assert congruence_class(word) == plain[word], word
-
-    def replacements(pairs):
-        bits, _, _, rules = core._coded_rules(pairs, 2)
-        return {r for _, r in rules[core._code((3, 1, 2), bits)]}
-    assert core._relation_rewrites((3, 1, 2)) == {(3, 2, 1), (2, 3, 1)}
-    assert core._coded_rules(core.NO_EXTRA, 2)[2] == {}
-    assert replacements(core.NO_EXTRA) == {(3, 2, 1), (2, 3, 1)}
-    assert replacements(extra) == {(3, 2, 1), (2, 3, 1), (2, 1, 3)}
+    rewrites = core._relation_rewrites(core._text((3, 1, 2)))
+    assert sorted(rewrites) == sorted(map(core._text, [(3, 2, 1), (2, 3, 1)]))
 
 
 def reference_class(word, extra=frozenset()):
@@ -195,9 +193,9 @@ def words_over(letters, max_len):
 
 
 @pytest.mark.parametrize("letters,max_len,extra", [
-    ((1, 7, 8), 5, frozenset()),  # 3 bits a letter until an 8 needs 4
+    ((1, 7, 8), 5, frozenset()),  # letters that are not adjacent
     ((1, 7, 8), 4, frozenset({((8, 1), (1, 8)), ((7, 1, 8), (8, 1, 7))})),
-    ((1, 2), 5, frozenset({((2, 1), (8, 8))})),  # the extras' letters set the width
+    ((1, 2), 5, frozenset({((2, 1), (8, 8))})),  # an extra pair brings in a letter
     ((1, 2, 3), 4, frozenset({((3,), (1,))})),
     ((1, 2, 3), 5, frozenset({((2, 1), (1, 2))})),
     ((1, 2, 3), 5, frozenset({((2, 1, 2, 1), (1, 2, 1, 2))})),
@@ -215,17 +213,45 @@ def test_coded_closure_at_the_largest_rank():
         assert all(eq_oracle(word, v) for v in members)
 
 
-def test_the_coded_rules_memo_is_bounded(monkeypatch):
-    assert 0 < core._coded_rules.cache_info().maxsize < math.inf
-    # Past DEFAULT_CAP rules, a table stops learning and computes them per use.
-    core._coded_rules.cache_clear()
-    monkeypatch.setattr(core, "DEFAULT_CAP", 0)
-    extra = frozenset({((2, 1), (1, 2))})
-    for word in words_over((1, 2, 3), 4):
-        assert congruence_class(word, extra) == reference_class(word, extra), word
-    _, _, table, rules = core._coded_rules(extra, 2)
-    assert set(table) == {(2, 1), (1, 2)} and rules == {}
-    core._coded_rules.cache_clear()
+def test_eq_oracle_checks_its_arguments_whatever_the_words():
+    # Before the length and equality exits: these were False and True.
+    bad_pair = frozenset({((1,), (1, 2))})
+    for w, v, kwargs, message in (((1,), (1, 2), {"extra": bad_pair}, "inhomogeneous"),
+                                  ((1, 2), (1, 2), {"cap": 0}, "cap must be positive"),
+                                  ((1,), (2,), {"extra": bad_pair}, "inhomogeneous")):
+        with pytest.raises(ValueError, match=message):
+            eq_oracle(w, v, **kwargs)
+
+
+def test_a_letter_past_the_text_range_is_refused_before_any_work(monkeypatch):
+    # Letter g is the character chr(g).  The package's ranks stop at 1000, so
+    # only a library caller can pass such a letter.
+    def forbidden(factor):
+        raise AssertionError("looked up a factor")
+    monkeypatch.setattr(core, "_relation_rewrites", forbidden)
+    for big in (0x110000, 2 ** 70):
+        word = (3, 2, 1) * 4 + (big,)
+        for call in (lambda: congruence_class(word), lambda: eq_oracle(word, word),
+                     lambda: eq_oracle((1, 2, 3), (1, 2, big)),
+                     lambda: congruence_class((1, 2), frozenset({((2, 1), (1, big))}))):
+            with pytest.raises(ValueError, match="0..0x10FFFF"):
+                call()
+
+
+def test_the_closure_yields_the_same_order_under_any_hash_seed():
+    # Members are text, whose hashes change with PYTHONHASHSEED; the order
+    # in which they are generated must not.
+    program = ("from chinese_monoid import core\n"
+               "for kind, s in (('dot', 2), ('arc', 2), ('arc', 4)):\n"
+               "    extra = core.first_level_pairs(kind, s, 4)\n"
+               "    for word in core.words_up_to(4, 4):\n"
+               "        print(list(core._closure(word, extra, core.DEFAULT_CAP)))\n")
+    src = str(Path(core.__file__).parents[1])
+    outputs = [subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              check=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+               for seed in ("0", "1")]
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 3 * 341
 
 
 @pytest.mark.parametrize("n,max_len", [(3, 5), (4, 4)])
@@ -629,6 +655,30 @@ def test_pending_letters_give_every_projection_on_all_short_words():
     for n, max_len in ((3, 6), (4, 5)):
         for word in words_up_to(n, max_len):
             assert_pending_gives_every_projection(word, n)
+
+
+def test_adjacent_projections_and_the_length_give_every_letter_count():
+    # Under B(x, x+1) every letter is p or q, so i - j = #(<= x) - #(> x) and
+    # the letters <= x number (|w| + i - j) / 2: the paper's e = 1.
+    rng = random.Random(11)
+    for _ in range(1000):
+        n = rng.randint(2, 12)
+        word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 40)))
+        at_most = [0] + [(len(word) + i - j) / 2  # an odd sum would leave a half
+                         for i, j in (projection(word, x, x + 1) for x in range(1, n))] + [len(word)]
+        assert [at_most[g] - at_most[g - 1] for g in range(1, n + 1)] == \
+            [word.count(g) for g in range(1, n + 1)], word
+
+
+@pytest.mark.parametrize("n,max_len", [(3, 5), (4, 4)])
+def test_the_length_and_projections_split_exactly_the_oracle_classes(n, max_len):
+    def key(word):
+        return len(word), tuple(projection(word, x, y) for y in range(2, n + 1) for x in range(1, y))
+    classes = {frozenset(congruence_class(word)) for word in words_up_to(n, max_len)}
+    by_key = {}
+    for word in words_up_to(n, max_len):
+        by_key.setdefault(key(word), set()).add(word)
+    assert {frozenset(words) for words in by_key.values()} == classes
 
 
 def normal_form_multisets_agree(n, w, i, j, k, l, m=None, m_first=False):
