@@ -23,7 +23,7 @@ USAGE_ERRORS = (WordSyntaxError, MalformedDiagram, RankTooSmall,
                 harness.BoundsExceeded, NotALeaf, BadLeafPair)
 
 MAX_RANK = 1000  # every other rank: tables and projection sets grow as n ** 2
-MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # normalize, mul, eq; none costs over O(n log |w|) a letter
+MAX_PROJECTION_LETTERS = 3 * 10 ** 7  # normalize, mul, eq, image; none over O(n log |w|) a letter
 MAX_ORACLE_LETTERS = 64  # per word: DEFAULT_CAP words this long, as text, peak near 50 MB
 
 
@@ -80,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--leaf", required=True, help='leaf id, e.g. "d2 A"')
     cmd.add_argument("--json", action="store_true")
 
-    cmd = add("image", "image of a word under a leaf representation", _cmd_image)
+    cmd = add("image", "image of a word under a leaf representation "
+              f"(n * letters <= {MAX_PROJECTION_LETTERS:,})", _cmd_image)
     cmd.add_argument("--leaf", required=True)
     cmd.add_argument("word")
 
@@ -136,18 +137,11 @@ def _cmd_eq(args) -> int:
         raise harness.BoundsExceeded(
             f"the oracle needs <= {MAX_ORACLE_LETTERS} letters per word, got "
             f"{max(len(w), len(v))}; use --method embedding")
-    if args.method == "oracle":
-        verdict = eq_oracle(w, v)
-    elif args.method == "embedding":
-        verdict = eq_via_embedding(n, w, v)
-    else:
-        by_oracle = eq_oracle(w, v)
-        by_embedding = eq_via_embedding(n, w, v)
-        if by_oracle != by_embedding:
-            print(f"METHOD DISAGREEMENT on ({args.w!r}, {args.v!r}): "
-                  f"oracle={by_oracle}, embedding={by_embedding}", file=sys.stderr)
-            return 1
-        verdict = by_oracle
+    verdict = eq_oracle(w, v) if args.method == "oracle" else eq_via_embedding(n, w, v)
+    if args.method == "both" and eq_oracle(w, v) != verdict:  # the oracle only confirms
+        print(f"METHOD DISAGREEMENT on ({args.w!r}, {args.v!r}): "
+              f"oracle={not verdict}, embedding={verdict}", file=sys.stderr)
+        return 1
     print("true" if verdict else "false")
     return 0
 
@@ -195,6 +189,9 @@ def _cmd_repr(args) -> int:
 def _cmd_image(args) -> int:
     rep = build_representation(parse_id(args.leaf, args.rank))
     word = parse_word(args.word, args.rank)
+    if args.rank * len(word) > MAX_PROJECTION_LETTERS:  # a leaf table has n components
+        raise harness.BoundsExceeded(f"needs n * letters <= {MAX_PROJECTION_LETTERS:,}, "
+                                     f"got {args.rank * len(word):,}")
     print(image_str(rep, image(rep, word)))
     return 0
 

@@ -29,6 +29,41 @@ def decode_staircase(word, n):
     return tuple(tuple(row) for row in rows)
 
 
+#: The five rewriting rules as order patterns, letters a < b < c (ties allowed):
+#: each left side equals its right side in M and is lexicographically larger.
+REWRITE_RULES = (("baa", "aba"), ("bba", "bab"), ("cab", "bca"), ("cba", "bca"),
+                 ("cbca", "cacb"))
+
+
+def order_pattern(factor):
+    """The factor's letters renamed a, b, c, ... by rank: (3, 1, 3) -> "bab"."""
+    letters = sorted(set(factor))
+    return "".join("abcd"[letters.index(g)] for g in factor)
+
+
+def rewrite(word, rules=REWRITE_RULES):
+    """Rewrite `word` by the order-pattern `rules` until none applies.
+
+    Scans left to right; after a step it backs up three places, the most a
+    new length-4 match can reach into the letters before the step, so it
+    stops only at a word no rule matches anywhere.
+    """
+    rules = dict(rules)
+    word = list(word)
+    pos = 0
+    while pos < len(word):
+        for factor in (word[pos:pos + 3], word[pos:pos + 4]):
+            rhs = rules.get(order_pattern(factor))
+            if rhs:
+                letters = sorted(set(factor))
+                word[pos:pos + len(factor)] = [letters["abc".index(ch)] for ch in rhs]
+                pos = max(pos - 3, 0)
+                break
+        else:
+            pos += 1
+    return tuple(word)
+
+
 def reduce_pq_string(text):
     """String-rewriting oracle: cancel "qp" in a p/q word until none is left.
 

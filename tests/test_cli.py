@@ -195,6 +195,22 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "does not read corrupt" in err and out == ""
 
 
+def test_image_refuses_words_past_its_bound_before_any_image(capsys, monkeypatch):
+    import chinese_monoid.cli as cli
+
+    def forbidden(*args):
+        raise AssertionError("computed an image")
+    monkeypatch.setattr(cli, "image", forbidden)
+    # A leaf table at n = 1000 has 1000 components: 30,000 letters fit, 30,001 do not.
+    code, out, err = run(capsys, "image", "-n", "1000", "--leaf", "a1000", " ".join(["1"] * 30_001))
+    assert (code, out) == (2, "")
+    assert err == "error: needs n * letters <= 30,000,000, got 30,001,000\n"
+    # A bad leaf id is still reported before a bad word.
+    code, _, err = run(capsys, "image", "-n", "1000", "--leaf", "a1001", "1001")
+    assert (code, err) == (2, "error: step ('a', 1001) not allowed here; "
+                              "legal: ('d', 2..999) or ('a', 2..1000)\n")
+
+
 def test_witness_answers_at_the_largest_rank(capsys):
     # The pair is built from the leaves' arcs, so the rank does not bound the work.
     code, out, _ = run(capsys, "witness", "-n", "1000", "--leaf1", "a2", "--leaf2", "a1000")
@@ -319,10 +335,22 @@ def test_leaf_lookups_enumerate_no_leaves(capsys, monkeypatch):
 
 def test_method_disagreement_is_fatal(capsys, monkeypatch):
     import chinese_monoid.cli as cli
+    import chinese_monoid.core as core
     monkeypatch.setattr(cli, "eq_via_embedding", lambda n, w, v: True)
     code, _, err = run(capsys, "eq", "-n", "3", "1 2", "2 1", "--method", "both")
     assert code == 1
     assert "METHOD DISAGREEMENT" in err
+    # The embedding answers and the oracle, called after it, only confirms.
+    for w, v, verdict in (("1 2", "2 1", True), ("2 1 1", "1 2 1", False)):
+        calls = []
+        monkeypatch.setattr(cli, "eq_via_embedding",
+                            lambda n, w, v, verdict=verdict: calls.append("embedding") or verdict)
+        monkeypatch.setattr(cli, "eq_oracle",
+                            lambda w, v: calls.append("oracle") or core.eq_oracle(w, v))
+        assert run(capsys, "eq", "-n", "3", w, v, "--method", "both") == \
+            (1, "", f"METHOD DISAGREEMENT on ({w!r}, {v!r}): "
+                    f"oracle={not verdict}, embedding={verdict}\n")
+        assert calls == ["embedding", "oracle"]
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -20,7 +20,8 @@ from chinese_monoid.core import (ClassCapExceeded, IndexConstraintViolated,
                                  verify_boxplus, words_up_to)
 from chinese_monoid.bicyclic import IDENTITY, P, Q, product
 from chinese_monoid.representation import eq_via_embedding
-from oracles import decode_staircase, reduce_pq_string, reference_staircase
+from oracles import (REWRITE_RULES, decode_staircase, order_pattern, reduce_pq_string,
+                     reference_staircase, rewrite)
 
 words3 = st.lists(st.integers(1, 3), max_size=4).map(tuple)
 
@@ -332,6 +333,43 @@ def test_staircase_uniqueness_small():
                 assert len(members) == 1, (n, word, members)
                 staircase.update(dict.fromkeys(cls, members[0]))
             assert to_staircase(word, n).k == staircase[word], (n, word)
+
+
+@pytest.mark.parametrize("n, at_3, at_4", [(3, 8, 1), (4, 20, 4), (5, 40, 10)])
+def test_the_rewriting_rules_are_the_minimal_non_least_words(n, at_3, at_4):
+    # A word that is not least in its oracle class, while its prefix and
+    # suffix one letter shorter are, must be a left side of a rule, and the
+    # rule must rewrite it to the least member of its class.
+    least = {}
+    for word in words_up_to(n, 4):
+        if word not in least:
+            cls = congruence_class(word)
+            least.update(dict.fromkeys(cls, min(cls)))
+    for length, count in ((3, at_3), (4, at_4)):
+        minimal = [w for w in itertools.product(range(1, n + 1), repeat=length)
+                   if least[w] != w and least[w[:-1]] == w[:-1] and least[w[1:]] == w[1:]]
+        assert len(minimal) == count
+        assert {order_pattern(w) for w in minimal} == \
+            {lhs for lhs, _ in REWRITE_RULES if len(lhs) == length}
+        assert all(rewrite(w) == least[w] for w in minimal)
+
+
+REWRITE_GRID = ((3, 7), (4, 6), (5, 5))  # 12,647 words
+
+
+def test_rewriting_reaches_the_staircase_word():
+    for n, max_len in REWRITE_GRID:
+        for word in words_up_to(n, max_len):
+            assert rewrite(word) == to_staircase(word, n).expand(), (n, word)
+
+
+def test_rewriting_without_the_length_4_rule_stops_short():
+    # The class {c b c a, c c b a, c c a b, c a c b} joins c b c a to c a c b
+    # only through the larger c c b a, so no length-3 rule that makes the word
+    # smaller does it: 1,242 grid words stop above their staircase word.
+    short = sum(rewrite(word, REWRITE_RULES[:4]) != to_staircase(word, n).expand()
+                for n, max_len in REWRITE_GRID for word in words_up_to(n, max_len))
+    assert short == 1242
 
 
 @settings(max_examples=60, deadline=None)
